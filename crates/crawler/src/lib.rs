@@ -21,7 +21,7 @@
 //!    IPs and per-query sightings of the publisher ([`dataset`]).
 //!
 //! [`live`] contains the same logic pointed at real TCP endpoints (the
-//! `TrackerServer` + `LivePeer` testbed) instead of the simulation.
+//! `ServeDaemon` + `LivePeer` testbed) instead of the simulation.
 
 pub mod crawler;
 pub mod dataset;

@@ -1,5 +1,5 @@
 //! Live-network crawling: the same §2 procedure against real TCP
-//! endpoints (a [`btpub_tracker::server::TrackerServer`] plus
+//! endpoints (a [`btpub_tracker::serve::ServeDaemon`] plus
 //! [`btpub_tracker::livepeer::LivePeer`]s), exercised by the
 //! `live_tracker` example and the workspace integration tests.
 
@@ -124,13 +124,18 @@ mod tests {
     use btpub_proto::metainfo::MetainfoBuilder;
     use btpub_proto::tracker::AnnounceEvent;
     use btpub_tracker::livepeer::LivePeer;
-    use btpub_tracker::server::TrackerServer;
+    use btpub_tracker::serve::{ServeConfig, ServeDaemon};
+
+    /// The live-network tracker: one shard, no scripted torrents.
+    fn start_tracker(seed: u64) -> ServeDaemon {
+        ServeDaemon::start(ServeConfig::new(seed, 1, 0)).unwrap()
+    }
 
     /// End-to-end over real sockets: tracker + seeder + leecher, then the
     /// crawler identifies the seeder via bitfield probing.
     #[test]
     fn live_first_contact_identifies_seeder() {
-        let tracker = TrackerServer::start(42).unwrap();
+        let tracker = start_tracker(42);
         let metainfo = MetainfoBuilder::new(&tracker.announce_url(), "live.test.file", 1 << 20)
             .piece_length(64 * 1024)
             .build();
@@ -208,7 +213,7 @@ mod tests {
 
     #[test]
     fn live_first_contact_skips_probing_with_multiple_seeders() {
-        let tracker = TrackerServer::start(43).unwrap();
+        let tracker = start_tracker(43);
         let metainfo = MetainfoBuilder::new(&tracker.announce_url(), "multi.seed", 1 << 18)
             .piece_length(64 * 1024)
             .build();

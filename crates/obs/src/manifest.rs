@@ -22,7 +22,7 @@ use std::path::Path;
 
 use serde_json::{Map, Value};
 
-use crate::registry::Registry;
+use crate::Registry;
 
 /// FNV-1a 64-bit over `bytes` (stable, dependency-free — this is a
 /// change detector, not a cryptographic commitment).

@@ -2,7 +2,7 @@
 
 use serde_json::{Map, Value};
 
-use crate::registry::Registry;
+use crate::Registry;
 
 impl Registry {
     /// Renders every metric as a JSON tree:

@@ -8,6 +8,21 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 
+/// Most bytes a request's header section, and separately its body, may
+/// take. Tracker requests are GETs whose body is empty, so a declared
+/// body past this is hostile and refused before any byte of it is
+/// buffered.
+pub const MAX_HEAD: usize = 16 * 1024;
+
+/// Most bytes a response body may declare (64 MiB: room for a daemon's
+/// `/snapshot` of a large script). A longer `Content-Length` is refused
+/// before anything is allocated for it.
+pub const MAX_RESPONSE_BODY: usize = 64 << 20;
+
+fn invalid(msg: &str) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
 /// A parsed request line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
@@ -20,91 +35,25 @@ pub struct Request {
     pub keep_alive: bool,
 }
 
-/// Reads one HTTP request from a buffered stream, leaving any pipelined
-/// follow-up requests in the reader's buffer. Returns `Ok(None)` on a
-/// clean EOF before a new request line (the keep-alive peer hung up).
-///
-/// GET only; a request body declared via `Content-Length` is drained so
-/// the next pipelined request still starts on a frame boundary.
-pub fn read_request_from<R: BufRead>(reader: &mut R) -> std::io::Result<Option<Request>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
-    }
-    let mut parts = line.split_whitespace();
-    let method = parts.next().unwrap_or_default();
-    let target = parts.next().unwrap_or_default().to_string();
-    let version = parts.next().unwrap_or_default();
-    // HTTP/1.1 keeps the connection open unless told otherwise;
-    // HTTP/1.0 closes unless asked to stay.
-    let mut keep_alive = version != "HTTP/1.0";
-    let mut content_length = 0usize;
-    let bad_method = method != "GET";
-    // Drain headers until the blank line.
-    loop {
-        let mut header = String::new();
-        let n = reader.read_line(&mut header)?;
-        if n == 0 || header == "\r\n" || header == "\n" {
-            break;
-        }
-        if let Some((name, value)) = header.split_once(':') {
-            let value = value.trim();
-            if name.eq_ignore_ascii_case("connection") {
-                keep_alive = value.eq_ignore_ascii_case("keep-alive");
-            } else if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().unwrap_or(0);
-            }
-        }
-    }
-    // Consume any body so framing survives even a rejected request.
-    if content_length > 0 {
-        std::io::copy(
-            &mut reader.take(content_length as u64),
-            &mut std::io::sink(),
-        )?;
-    }
-    if bad_method {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("unsupported method {method:?}"),
-        ));
-    }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target, String::new()),
-    };
-    Ok(Some(Request {
-        path,
-        query,
-        keep_alive,
-    }))
-}
-
 /// Attempts to parse one complete request from the front of `buf`
-/// without consuming from a stream — the readiness-loop variant of
-/// [`read_request_from`] for non-blocking sockets that accumulate bytes
-/// into per-connection buffers.
+/// without consuming from a stream — for non-blocking sockets that
+/// accumulate bytes into per-connection buffers. Pipelined requests
+/// parse one at a time: the returned length is where the next begins.
 ///
 /// Returns `Ok(Some((request, consumed)))` when a whole request
-/// (headers plus any `Content-Length` body) is present, `Ok(None)` when
-/// more bytes are needed, and `Err` for garbage (non-GET, no HTTP
-/// request line, or a header section past 16 KiB).
+/// (headers plus any `Content-Length` body, which is skipped) is
+/// present, `Ok(None)` when more bytes are needed, and an
+/// [`InvalidData`](std::io::ErrorKind::InvalidData) error for garbage:
+/// non-GET, no HTTP request line, a header section or a declared body
+/// past [`MAX_HEAD`].
 pub fn try_parse_request(buf: &[u8]) -> std::io::Result<Option<(Request, usize)>> {
-    const MAX_HEAD: usize = 16 * 1024;
     let head_end = match buf.windows(4).position(|w| w == b"\r\n\r\n") {
-        Some(i) => i,
-        None => {
-            if buf.len() > MAX_HEAD {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "header section too large",
-                ));
-            }
-            return Ok(None);
-        }
+        Some(i) if i <= MAX_HEAD => i,
+        Some(_) => return Err(invalid("header section too large")),
+        None if buf.len() > MAX_HEAD => return Err(invalid("header section too large")),
+        None => return Ok(None),
     };
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF8 head"))?;
+    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| invalid("non-UTF8 head"))?;
     let mut lines = head.split("\r\n");
     let request_line = lines.next().unwrap_or_default();
     let mut parts = request_line.split_whitespace();
@@ -112,10 +61,7 @@ pub fn try_parse_request(buf: &[u8]) -> std::io::Result<Option<(Request, usize)>
     let target = parts.next().unwrap_or_default();
     let version = parts.next().unwrap_or_default();
     if !version.starts_with("HTTP/") {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "not an HTTP request line",
-        ));
+        return Err(invalid("not an HTTP request line"));
     }
     let mut keep_alive = version != "HTTP/1.0";
     let mut content_length = 0usize;
@@ -128,6 +74,11 @@ pub fn try_parse_request(buf: &[u8]) -> std::io::Result<Option<(Request, usize)>
                 content_length = value.parse().unwrap_or(0);
             }
         }
+    }
+    // Bounded before it is added, so the sum cannot overflow and a
+    // connection cannot be made to buffer without limit.
+    if content_length > MAX_HEAD {
+        return Err(invalid("request body too large"));
     }
     let total = head_end + 4 + content_length;
     if buf.len() < total {
@@ -151,14 +102,6 @@ pub fn try_parse_request(buf: &[u8]) -> std::io::Result<Option<(Request, usize)>
         },
         total,
     )))
-}
-
-/// Reads one HTTP request from a stream (one-shot convenience around
-/// [`read_request_from`]; EOF before a request is an error here).
-pub fn read_request<R: Read>(stream: R) -> std::io::Result<Request> {
-    read_request_from(&mut BufReader::new(stream))?.ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "no request")
-    })
 }
 
 /// Writes a `200 OK` response with a binary body. The exact
@@ -186,7 +129,10 @@ pub fn write_error<W: Write>(mut stream: W, code: u16, reason: &str) -> std::io:
 
 /// Reads one response from a buffered stream, returning the body on 200
 /// or an error otherwise. Stops exactly at `Content-Length`, so a
-/// keep-alive client can call this repeatedly on the same reader.
+/// keep-alive client can call this repeatedly on the same reader. A body
+/// past [`MAX_RESPONSE_BODY`], declared or read to EOF, is an
+/// [`InvalidData`](std::io::ErrorKind::InvalidData) error, and the
+/// buffer grows only with bytes that actually arrive.
 pub fn read_response_from<R: BufRead>(reader: &mut R) -> std::io::Result<Vec<u8>> {
     let mut status = String::new();
     reader.read_line(&mut status)?;
@@ -194,9 +140,7 @@ pub fn read_response_from<R: BufRead>(reader: &mut R) -> std::io::Result<Vec<u8>
         .split_whitespace()
         .nth(1)
         .and_then(|c| c.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line")
-        })?;
+        .ok_or_else(|| invalid("bad status line"))?;
     let mut content_length: Option<usize> = None;
     loop {
         let mut header = String::new();
@@ -210,15 +154,21 @@ pub fn read_response_from<R: BufRead>(reader: &mut R) -> std::io::Result<Vec<u8>
             }
         }
     }
-    let mut body = Vec::new();
+    if content_length.is_some_and(|len| len > MAX_RESPONSE_BODY) {
+        return Err(invalid("response body too large"));
+    }
+    let limit = content_length.unwrap_or(MAX_RESPONSE_BODY + 1);
+    let mut body = Vec::with_capacity(limit.min(64 << 10));
+    reader.take(limit as u64).read_to_end(&mut body)?;
     match content_length {
-        Some(len) => {
-            body.resize(len, 0);
-            reader.read_exact(&mut body)?;
+        Some(len) if body.len() < len => {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "response body cut short",
+            ))
         }
-        None => {
-            reader.read_to_end(&mut body)?;
-        }
+        None if body.len() > MAX_RESPONSE_BODY => return Err(invalid("response body too large")),
+        _ => {}
     }
     if code != 200 {
         return Err(std::io::Error::other(format!("HTTP {code}")));
@@ -235,10 +185,15 @@ pub fn read_response<R: Read>(stream: R) -> std::io::Result<Vec<u8>> {
 mod tests {
     use super::*;
 
+    /// Parses one whole request off the front of `raw`.
+    fn parse(raw: &[u8]) -> (Request, usize) {
+        try_parse_request(raw).unwrap().expect("a whole request")
+    }
+
     #[test]
     fn parses_get_with_query() {
         let raw = b"GET /announce?a=1&b=2 HTTP/1.0\r\nHost: x\r\nUser-Agent: t\r\n\r\n";
-        let req = read_request(&raw[..]).unwrap();
+        let (req, _) = parse(raw);
         assert_eq!(req.path, "/announce");
         assert_eq!(req.query, "a=1&b=2");
         assert!(!req.keep_alive, "HTTP/1.0 defaults to close");
@@ -247,7 +202,7 @@ mod tests {
     #[test]
     fn parses_get_without_query() {
         let raw = b"GET /scrape HTTP/1.1\r\n\r\n";
-        let req = read_request(&raw[..]).unwrap();
+        let (req, _) = parse(raw);
         assert_eq!(req.path, "/scrape");
         assert_eq!(req.query, "");
         assert!(req.keep_alive, "HTTP/1.1 defaults to keep-alive");
@@ -256,28 +211,29 @@ mod tests {
     #[test]
     fn connection_header_overrides_version_default() {
         let raw = b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n";
-        assert!(!read_request(&raw[..]).unwrap().keep_alive);
+        assert!(!parse(raw).0.keep_alive);
         let raw = b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n";
-        assert!(read_request(&raw[..]).unwrap().keep_alive);
+        assert!(parse(raw).0.keep_alive);
     }
 
     #[test]
     fn rejects_post() {
         let raw = b"POST /announce HTTP/1.0\r\n\r\n";
-        assert!(read_request(&raw[..]).is_err());
+        assert!(try_parse_request(raw).is_err());
     }
 
     #[test]
     fn pipelined_requests_parse_in_order() {
         let raw = b"GET /a?x=1 HTTP/1.1\r\n\r\nGET /b?y=2 HTTP/1.1\r\nConnection: close\r\n\r\n";
-        let mut reader = BufReader::new(&raw[..]);
-        let first = read_request_from(&mut reader).unwrap().unwrap();
+        let (first, used) = parse(raw);
         assert_eq!((first.path.as_str(), first.query.as_str()), ("/a", "x=1"));
         assert!(first.keep_alive);
-        let second = read_request_from(&mut reader).unwrap().unwrap();
+        let (second, used2) = parse(&raw[used..]);
         assert_eq!((second.path.as_str(), second.query.as_str()), ("/b", "y=2"));
         assert!(!second.keep_alive);
-        assert!(read_request_from(&mut reader).unwrap().is_none(), "clean EOF");
+        // Clean end: nothing left, nothing pending.
+        assert_eq!(used + used2, raw.len());
+        assert!(try_parse_request(&raw[used + used2..]).unwrap().is_none());
     }
 
     #[test]
@@ -285,9 +241,36 @@ mod tests {
         // A body between two pipelined requests must not desynchronise
         // the parser.
         let raw = b"GET /a HTTP/1.1\r\nContent-Length: 5\r\n\r\nhelloGET /b HTTP/1.1\r\n\r\n";
-        let mut reader = BufReader::new(&raw[..]);
-        assert_eq!(read_request_from(&mut reader).unwrap().unwrap().path, "/a");
-        assert_eq!(read_request_from(&mut reader).unwrap().unwrap().path, "/b");
+        let (first, used) = parse(raw);
+        assert_eq!(first.path, "/a");
+        assert_eq!(parse(&raw[used..]).0.path, "/b");
+    }
+
+    #[test]
+    fn try_parse_rejects_overflowing_content_length() {
+        // `head + 4 + length` would overflow usize: a typed error, not a
+        // panic.
+        let raw = format!(
+            "GET /a HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            usize::MAX - 2
+        );
+        let err = try_parse_request(raw.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn try_parse_rejects_oversized_body_instead_of_waiting() {
+        // A large but representable length must not leave the request
+        // pending while the connection buffers without limit.
+        let raw = format!(
+            "GET /a HTTP/1.1\r\nContent-Length: {}\r\n\r\nxx",
+            1u64 << 30
+        );
+        let err = try_parse_request(raw.as_bytes()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // A body up to the cap still waits for its bytes.
+        let raw = format!("GET /a HTTP/1.1\r\nContent-Length: {MAX_HEAD}\r\n\r\nxx");
+        assert!(try_parse_request(raw.as_bytes()).unwrap().is_none());
     }
 
     #[test]
@@ -347,6 +330,20 @@ mod tests {
         write_error(&mut wire, 404, "Not Found").unwrap();
         let err = read_response(&wire[..]).unwrap_err();
         assert!(err.to_string().contains("404"), "{err}");
+    }
+
+    #[test]
+    fn response_body_past_cap_is_refused() {
+        // One hostile Content-Length must not become one huge allocation.
+        for len in [MAX_RESPONSE_BODY + 1, usize::MAX] {
+            let wire = format!("HTTP/1.1 200 OK\r\nContent-Length: {len}\r\n\r\nshort");
+            let err = read_response(wire.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "len={len}");
+        }
+        // A body cut short of its declared length is an EOF, not a hang.
+        let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort";
+        let err = read_response(&wire[..]).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! # btpub-tracker
 //!
 //! Two tracker implementations sharing the paper-relevant semantics —
-//! random peer sampling capped at 200 addresses per reply, seeder/leecher
-//! counters, and per-client rate limiting with blacklisting:
+//! peer sampling, seeder/leecher counters, and per-client rate limiting
+//! with blacklisting:
 //!
 //! * [`sim::TrackerSim`] answers queries against a generated
 //!   [`btpub_sim::Ecosystem`]; this is what the measurement campaign runs
@@ -13,23 +13,20 @@
 //!   layer a deterministic `btpub_faults::FaultPlan` over both paths —
 //!   downtime windows, dropped announces, corrupted replies, failed
 //!   probe connections.
-//! * [`server::TrackerServer`] is a real TCP/HTTP tracker speaking the
-//!   `btpub-proto` wire formats over sockets, backed by [`registry`]; the
-//!   [`client`] module is its blocking HTTP client. The `live_tracker`
-//!   example runs the crawler against it end-to-end.
-//! * [`udp_server::UdpTrackerServer`] speaks BEP 15 (the UDP tracker
-//!   protocol OpenBitTorrent primarily served), optionally sharing swarm
-//!   state with the HTTP endpoint.
+//! * [`serve::ServeDaemon`] is the one tracker with sockets: a
+//!   long-lived multi-threaded daemon (the `btpub-serve` bin) over
+//!   sharded swarm state with BEP-15 UDP and keep-alive HTTP front ends,
+//!   plus the deterministic load generator ([`serve::load`],
+//!   `btpub-load`) whose logical-clock announce scripts make the
+//!   daemon's final snapshot byte-comparable to an in-process oracle.
+//!   The live crawler, the `live_tracker` example and the live-network
+//!   tests run against it, registering their torrents with
+//!   [`serve::ServeDaemon::register`]. [`client`] is the blocking HTTP
+//!   client and [`serve::udp_client`] the BEP 15 one.
 //! * [`livepeer`] hosts TCP peers — bitfield-only for §2 probing, or full
 //!   piece-serving seeders — plus the probe client and a verifying
 //!   download client ([`livepeer::download_from_peer`], §5's fake-content
 //!   check).
-//! * [`serve`] is the production path: a long-lived multi-threaded
-//!   daemon ([`serve::ServeDaemon`], the `btpub-serve` bin) over sharded
-//!   swarm state with BEP-15 UDP and keep-alive HTTP front ends, plus
-//!   the deterministic load generator ([`serve::load`], `btpub-load`)
-//!   whose logical-clock announce scripts make the daemon's final
-//!   snapshot byte-comparable to an in-process oracle.
 //!
 //! The rate-limit clock, strike ladder and blacklist live in
 //! [`enforce::Enforcer`], shared verbatim by [`sim::TrackerSim`] and the
@@ -39,11 +36,8 @@ pub mod client;
 pub mod enforce;
 pub mod http;
 pub mod livepeer;
-pub mod registry;
 pub mod serve;
-pub mod server;
 pub mod sim;
-pub mod udp_server;
 
 pub use sim::{ProbeOutcome, QueryError, ReplyCounts, TrackerReply, TrackerSim};
 

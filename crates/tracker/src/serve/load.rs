@@ -26,9 +26,9 @@ use btpub_proto::tracker::{AnnounceRequest, AnnounceResponse};
 use btpub_proto::udp_tracker::{UdpRequest, UdpResponse};
 
 use crate::client::HttpSession;
-use crate::udp_server::client as udp_client;
 
 use super::script::{Op, Script};
+use super::udp_client;
 use super::wire::{self, Class};
 
 /// How announces travel.
@@ -350,8 +350,10 @@ fn udp_single_driver(
         wire::set_announce_ip(&mut datagram, item.ip);
         wire::append_sim_time(&mut datagram, item.t);
         report.sent += 1;
+        // The plane's fault-draw coordinates: its client id, not the
+        // script's client number.
+        let draw = key(&[u64::from(item.client()), u64::from(op.torrent), op.t]);
         if predict_silence {
-            let draw = key(&[u64::from(op.client), u64::from(op.torrent), op.t]);
             let swallowed = plan.tracker_down(op.t).is_some()
                 || plan.check::<points::AnnounceDrop>(draw).is_some();
             if swallowed {
@@ -380,7 +382,6 @@ fn udp_single_driver(
                 // Silence the plan did not predict. A corrupted
                 // (malformed) reply also lands here: it never matches
                 // the transaction id.
-                let draw = key(&[u64::from(op.client), u64::from(op.torrent), op.t]);
                 if plan
                     .check::<points::TruncatedReply>(draw)
                     .or_else(|| plan.check::<points::MalformedReply>(draw))

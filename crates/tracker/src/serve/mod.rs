@@ -1,12 +1,17 @@
-//! `btpub-serve`: the long-lived, multi-threaded tracker daemon.
+//! `btpub-serve`: the long-lived, multi-threaded tracker daemon — the
+//! repository's only tracker with sockets.
 //!
 //! The in-process [`crate::sim::TrackerSim`] models one tracker for one
-//! simulated crawl; [`crate::server`]/[`crate::udp_server`] put a real
-//! socket in front of a single global registry mutex. This module is the
-//! production story: swarm state sharded across locks
-//! ([`shard::Plane`]), a BEP 15 UDP fast path plus an HTTP/1.1
-//! keep-alive front end sharing that plane, and the fault/enforcement
-//! machinery (`btpub-faults`) applied on the network path itself.
+//! simulated crawl; everything that talks to a tracker over a real
+//! socket talks to this daemon: the load generator, the live crawler
+//! (`btpub-crawler::live`), the `live_tracker` example and the
+//! live-network tests. It keeps swarm state sharded across locks
+//! ([`shard::Plane`]), serves a BEP 15 UDP fast path plus an HTTP/1.1
+//! keep-alive front end sharing that plane, and applies the
+//! fault/enforcement machinery (`btpub-faults`) on the network path
+//! itself. Live callers use `ServeConfig::new(seed, 1, 0)` — one shard,
+//! no scripted torrents — and [`ServeDaemon::register`] the torrents
+//! they publish. [`udp_client`] is the matching BEP 15 client.
 //!
 //! Everything is plain std sockets on readiness loops — no async
 //! runtime. UDP workers share one non-blocking socket and burst-drain
@@ -25,6 +30,7 @@ pub mod load;
 pub mod oracle;
 pub mod script;
 pub mod shard;
+pub mod udp_client;
 pub mod wire;
 
 use std::io::{Read, Write};
@@ -109,8 +115,10 @@ pub struct ServeDaemon {
     secret: u64,
 }
 
-/// Stateless BEP 15 connection id (same scheme as
-/// [`crate::udp_server`]): hash of the secret and the client address.
+/// Stateless BEP 15 connection id: a hash of the daemon's secret and
+/// the client address, so validating an announce needs no per-client
+/// state (the scheme BEP 15 recommends). Real trackers rotate the secret
+/// every couple of minutes; the daemon keeps one for its lifetime.
 fn connection_id(secret: u64, client: SocketAddr) -> u64 {
     let ip = match client {
         SocketAddr::V4(v4) => u64::from(u32::from(*v4.ip())),
@@ -217,6 +225,12 @@ impl ServeDaemon {
     /// The connection id the daemon would issue to `client`.
     pub fn expected_connection_id(&self, client: SocketAddr) -> u64 {
         connection_id(self.secret, client)
+    }
+
+    /// Registers a torrent so announces for it are accepted (see
+    /// [`Plane::register`]).
+    pub fn register(&self, ih: InfoHash) {
+        self.plane.register(ih);
     }
 
     /// Stops accepting, drains every worker's pending input, joins all
@@ -426,7 +440,7 @@ fn handle_datagram(
                 match out.class {
                     Class::Admitted | Class::Duplicate => {
                         let numwant = if num_want == u32::MAX { 50 } else { num_want };
-                        plane.sample_peers(&info_hash, numwant.min(74) as usize, peers);
+                        reply_peers(plane, &item, numwant as usize, peers);
                         Some(UdpResponse::Announce {
                             transaction_id,
                             interval: min_interval(SimTime(t)).secs() as u32,
@@ -480,6 +494,25 @@ fn handle_datagram(
     if let Some(r) = reply {
         let _ = socket.send_to(&r.encode(), from);
     }
+}
+
+/// Most peers one announce reply lists.
+const MAX_REPLY_PEERS: usize = 74;
+
+/// Fills `peers` with up to `numwant` (at most [`MAX_REPLY_PEERS`])
+/// members of the announcer's swarm, leaving out the announcer's own
+/// `(ip, port)`: a crawler handed its own address would probe itself.
+fn reply_peers(
+    plane: &Plane,
+    item: &AnnounceItem,
+    numwant: usize,
+    peers: &mut Vec<std::net::SocketAddrV4>,
+) {
+    let numwant = numwant.min(MAX_REPLY_PEERS);
+    plane.sample_peers(&item.info_hash, numwant + 1, peers);
+    let own = std::net::SocketAddrV4::new(item.ip.into(), item.port);
+    peers.retain(|p| *p != own);
+    peers.truncate(numwant);
 }
 
 /// Accept loop: hands fresh connections to workers round-robin.
@@ -846,7 +879,7 @@ fn announce_http(
     let failure = |msg: &str| AnnounceResponse::Failure(msg.into()).encode();
     match out.class {
         Class::Admitted | Class::Duplicate => {
-            plane.sample_peers(&req.info_hash, (req.numwant as usize).min(74), peers);
+            reply_peers(plane, &item, req.numwant as usize, peers);
             AnnounceResponse::Ok {
                 interval: min_interval(SimTime(t)).secs() as u32,
                 complete: out.complete,
@@ -921,7 +954,7 @@ mod tests {
     fn bep15_announce_with_logical_clock() {
         let d = daemon(12, 2, 4);
         let sock = udp_client();
-        let cid = crate::udp_server::client::connect(&sock, d.udp_addr(), 1).unwrap();
+        let cid = udp_client::connect(&sock, d.udp_addr(), 1).unwrap();
         assert_eq!(
             cid,
             d.expected_connection_id(sock.local_addr().unwrap())
@@ -964,7 +997,11 @@ mod tests {
         }
         // The scripted ip (500) landed in the snapshot, not 127.0.0.1.
         let snap = d.shutdown();
-        assert!(snap.contains("peer 500 ip=500 port=9000 left=100"), "{snap}");
+        let peer = wire::client_of(&peer_id_for(500));
+        assert!(
+            snap.contains(&format!("peer {peer} ip=500 port=9000 left=100")),
+            "{snap}"
+        );
     }
 
     #[test]
@@ -993,6 +1030,41 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_connection_id_rejected() {
+        // An id handed to one client is no good from another address.
+        let d = daemon(13, 1, 1);
+        let owner = udp_client();
+        let cid = udp_client::connect(&owner, d.udp_addr(), 1).unwrap();
+        let thief = udp_client();
+        let req = UdpRequest::Announce {
+            connection_id: cid,
+            transaction_id: 4,
+            info_hash: info_hash_for(13, 0),
+            peer_id: peer_id_for(2),
+            downloaded: 0,
+            left: 0,
+            uploaded: 0,
+            event: AnnounceEvent::Started,
+            num_want: 10,
+            port: 1,
+        };
+        thief.send_to(&req.encode(), d.udp_addr()).unwrap();
+        let mut buf = [0u8; 512];
+        let (len, _) = thief.recv_from(&mut buf).unwrap();
+        match UdpResponse::decode(&buf[..len]).unwrap() {
+            UdpResponse::Error { message, .. } => assert!(message.contains("connection id")),
+            other => panic!("unexpected {other:?}"),
+        }
+        // The owner's own announce with the same id is accepted.
+        owner.send_to(&req.encode(), d.udp_addr()).unwrap();
+        let (len, _) = owner.recv_from(&mut buf).unwrap();
+        match UdpResponse::decode(&buf[..len]).unwrap() {
+            UdpResponse::Announce { transaction_id, .. } => assert_eq!(transaction_id, 4),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
     fn http_announce_scrape_and_snapshot() {
         let d = daemon(14, 4, 4);
         let net = btpub_faults::NetConfig::loopback_test();
@@ -1015,7 +1087,11 @@ mod tests {
         assert_eq!(scrape.files[0].1.complete, 1);
         let snap_bytes = session.get("/snapshot").unwrap();
         let snap = String::from_utf8(snap_bytes).unwrap();
-        assert!(snap.contains("peer 42 ip=42 port=7777 left=0"), "{snap}");
+        let peer = wire::client_of(&peer_id_for(42));
+        assert!(
+            snap.contains(&format!("peer {peer} ip=42 port=7777 left=0")),
+            "{snap}"
+        );
         assert_eq!(snap, d.shutdown());
     }
 
@@ -1140,5 +1216,177 @@ mod tests {
         let (_, outcomes) = wire::decode_batch_response(&buf[..len]).unwrap();
         assert_eq!(outcomes[0].class, Class::Admitted);
         assert_eq!(d.plane().counts().garbled, 1);
+    }
+
+    /// A live-style daemon (one shard, nothing scripted) serving `ih`.
+    fn live_daemon(seed: u64, ih: InfoHash) -> ServeDaemon {
+        let d = daemon(seed, 1, 0);
+        d.register(ih);
+        d
+    }
+
+    fn announce_req(ih: InfoHash, id: u8, left: u64) -> AnnounceRequest {
+        AnnounceRequest {
+            info_hash: ih,
+            peer_id: btpub_proto::types::PeerId([id; 20]),
+            port: 6881 + u16::from(id),
+            uploaded: 0,
+            downloaded: 0,
+            left,
+            event: AnnounceEvent::Started,
+            numwant: 50,
+            compact: true,
+        }
+    }
+
+    #[test]
+    fn pipelined_requests_answered_in_order() {
+        let ih = InfoHash([6; 20]);
+        let d = live_daemon(43, ih);
+        let stream = TcpStream::connect(d.tcp_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        // Three announces written back-to-back before reading anything:
+        // the daemon must frame each response with an exact
+        // Content-Length and answer in request order.
+        let mut wire = Vec::new();
+        for (id, left) in [(1u8, 0u64), (2, 100), (3, 100)] {
+            let q = announce_req(ih, id, left).to_query();
+            write!(wire, "GET /announce?{q} HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
+        }
+        (&stream).write_all(&wire).unwrap();
+        let mut reader = std::io::BufReader::new(&stream);
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            let body = http::read_response_from(&mut reader).unwrap();
+            match AnnounceResponse::decode(&body).unwrap() {
+                AnnounceResponse::Ok {
+                    complete,
+                    incomplete,
+                    ..
+                } => seen.push((complete, incomplete)),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        // Responses arrive in request order: the swarm grows monotonically.
+        assert_eq!(seen, vec![(1, 0), (1, 1), (1, 2)]);
+    }
+
+    #[test]
+    fn http_1_0_connection_closes_after_response() {
+        let ih = InfoHash([7; 20]);
+        let d = live_daemon(44, ih);
+        let stream = TcpStream::connect(d.tcp_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let q = announce_req(ih, 1, 0).to_query();
+        write!(&stream, "GET /announce?{q} HTTP/1.0\r\n\r\n").unwrap();
+        let mut reader = std::io::BufReader::new(&stream);
+        let body = http::read_response_from(&mut reader).unwrap();
+        assert!(AnnounceResponse::decode(&body).is_ok());
+        // The daemon hangs up: the next read sees EOF.
+        let mut rest = Vec::new();
+        reader.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty());
+    }
+
+    /// A single-peer swarm answers with an empty peer list: the
+    /// announcer is never handed its own address.
+    #[test]
+    fn udp_announce_lifecycle() {
+        let ih = InfoHash([7; 20]);
+        let d = live_daemon(99, ih);
+        let peer = btpub_proto::types::PeerId;
+        // Seeder announces.
+        let out = udp_client::announce(
+            d.udp_addr(),
+            ih,
+            peer([1; 20]),
+            6881,
+            0,
+            AnnounceEvent::Started,
+            50,
+        )
+        .unwrap();
+        assert_eq!((out.seeders, out.leechers), (1, 0));
+        assert!(out.peers.is_empty(), "no other peers yet");
+        // An unscripted announce runs on daemon uptime, hour 0.
+        assert_eq!(u64::from(out.interval), min_interval(SimTime(0)).secs());
+        // Leecher announces and sees the seeder.
+        let out = udp_client::announce(
+            d.udp_addr(),
+            ih,
+            peer([2; 20]),
+            6882,
+            100,
+            AnnounceEvent::Started,
+            50,
+        )
+        .unwrap();
+        assert_eq!((out.seeders, out.leechers), (1, 1));
+        assert_eq!(out.peers.len(), 1);
+        assert_eq!(out.peers[0].port(), 6881);
+    }
+
+    #[test]
+    fn udp_scrape_counts() {
+        let ih = InfoHash([8; 20]);
+        let d = live_daemon(99, ih);
+        let peer = btpub_proto::types::PeerId;
+        udp_client::announce(
+            d.udp_addr(),
+            ih,
+            peer([1; 20]),
+            1,
+            0,
+            AnnounceEvent::Started,
+            0,
+        )
+        .unwrap();
+        udp_client::announce(
+            d.udp_addr(),
+            ih,
+            peer([2; 20]),
+            2,
+            0,
+            AnnounceEvent::Completed,
+            0,
+        )
+        .unwrap();
+        let entries = udp_client::scrape(d.udp_addr(), vec![ih, InfoHash([9; 20])]).unwrap();
+        assert_eq!(entries.len(), 2);
+        assert_eq!(entries[0].complete, 2);
+        assert_eq!(entries[0].downloaded, 1);
+        assert_eq!(
+            entries[1],
+            btpub_proto::tracker::ScrapeEntry::default(),
+            "unknown hash zeroed"
+        );
+    }
+
+    #[test]
+    fn unregistered_torrent_errors() {
+        let d = daemon(99, 1, 0);
+        let err = udp_client::announce(
+            d.udp_addr(),
+            InfoHash([0xEE; 20]),
+            btpub_proto::types::PeerId([1; 20]),
+            1,
+            0,
+            AnnounceEvent::Started,
+            0,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("not registered"));
+    }
+
+    #[test]
+    fn connection_ids_differ_per_client() {
+        let d = daemon(99, 1, 0);
+        let a: SocketAddr = "127.0.0.1:5001".parse().unwrap();
+        let b: SocketAddr = "127.0.0.1:5002".parse().unwrap();
+        assert_ne!(d.expected_connection_id(a), d.expected_connection_id(b));
     }
 }

@@ -58,6 +58,7 @@ pub fn oracle_snapshot(script: &Script, profile: FaultProfile) -> String {
 #[cfg(test)]
 mod tests {
     use super::super::shard::{Plane, PlaneConfig};
+    use super::super::wire::client_of;
     use super::*;
 
     /// The serving plane's whole equality argument, in miniature: any
@@ -106,7 +107,7 @@ mod tests {
         let snap = oracle_snapshot(&script, FaultProfile::clean());
         // All four hammer clients (0xF000_0000 + k) earn the blacklist.
         for k in 0..4u32 {
-            let client = 0xF000_0000u32 + k;
+            let client = client_of(&peer_id_for(0xF000_0000u32 + k));
             assert!(
                 snap.contains(&format!("client {client} strikes=")),
                 "hammer client {client} missing:\n{snap}"

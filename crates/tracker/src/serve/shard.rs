@@ -28,7 +28,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use btpub_faults::{key, points, BreakerState, CircuitBreaker, FaultPlan, FaultProfile};
 use btpub_fxhash::{FxHashMap, FxHashSet, FxHasher};
@@ -38,7 +38,7 @@ use btpub_sim::{SimTime, TorrentId};
 
 use crate::enforce::{Admission, Enforcer};
 
-use super::wire::{info_hash_for, AnnounceItem, Class, Outcome};
+use super::wire::{client_of, info_hash_for, torrent_of, AnnounceItem, Class, Outcome};
 
 /// Configuration of a [`Plane`].
 #[derive(Debug, Clone)]
@@ -112,6 +112,9 @@ pub struct CountsSnapshot {
 struct PeerSlot {
     ip: u32,
     port: u16,
+    /// The event of the announce that last wrote the slot (never
+    /// `stopped`, which removes it); see [`lifecycle_pending`].
+    event: AnnounceEvent,
     left: u64,
 }
 
@@ -204,8 +207,10 @@ const GARBAGE_SEEN_CAP: usize = 65_536;
 /// than a comparison of two unrelated implementations.
 pub struct Plane {
     cfg: PlaneConfig,
-    /// Registered torrents, frozen at construction: lock-free reads.
-    registered: FxHashSet<InfoHash>,
+    /// Registered torrents: the scripted ones from construction plus
+    /// any added by [`Plane::register`]. Readers take the lock once per
+    /// call (one read guard per [`Plane::apply_batch`]), never per item.
+    registered: RwLock<FxHashSet<InfoHash>>,
     swarms: Vec<Mutex<SwarmShard>>,
     enforce: Vec<Mutex<EnforceStripe>>,
     faults: Option<FaultPlan>,
@@ -263,7 +268,7 @@ impl Plane {
             .map(|i| btpub_obs::counter(&format!("serve.shard.{i}.announces")))
             .collect();
         Plane {
-            registered,
+            registered: RwLock::new(registered),
             swarms,
             enforce,
             faults,
@@ -297,7 +302,14 @@ impl Plane {
 
     /// Whether `info_hash` is registered.
     pub fn is_registered(&self, ih: &InfoHash) -> bool {
-        self.registered.contains(ih)
+        self.registered.read().contains(ih)
+    }
+
+    /// Registers a torrent at runtime so announces for it are accepted
+    /// (a live tracker learns its torrents from publishers, not from a
+    /// script). Idempotent.
+    pub fn register(&self, ih: InfoHash) {
+        self.registered.write().insert(ih);
     }
 
     /// Applies a batch of announces in arrival order, writing one
@@ -319,6 +331,19 @@ impl Plane {
             },
         );
         let shards = self.cfg.shards;
+        let registered = self.registered.read();
+        // Each item's client id, hashed once: phase 1 visits every item
+        // once per stripe. A lone announce (BEP 15, HTTP, the oracle)
+        // skips the allocation.
+        let one: [u32; 1];
+        let many: Vec<u32>;
+        let clients: &[u32] = if let [item] = items {
+            one = [item.client()];
+            &one
+        } else {
+            many = items.iter().map(AnnounceItem::client).collect();
+            &many
+        };
         // Indices whose refusal is an exact retransmit: replied to with
         // the same class, but not re-counted (rare, so the Vec usually
         // never allocates).
@@ -327,14 +352,14 @@ impl Plane {
         for stripe in 0..shards {
             let mut guard = None;
             for (i, item) in items.iter().enumerate() {
-                let client = item.client();
+                let client = clients[i];
                 if client as usize % shards != stripe {
                     continue;
                 }
                 let (class, fresh) = {
                     let stripe_state =
                         guard.get_or_insert_with(|| self.enforce[stripe].lock());
-                    self.admit(stripe_state, item)
+                    self.admit(stripe_state, &registered, item, client)
                 };
                 out[i].class = class;
                 if !fresh {
@@ -342,6 +367,7 @@ impl Plane {
                 }
             }
         }
+        drop(registered);
         recounted.sort_unstable();
         // Phase 2: application, one pass per swarm shard.
         for shard in 0..shards {
@@ -355,6 +381,11 @@ impl Plane {
                     continue;
                 }
                 let state = guard.get_or_insert_with(|| self.swarms[shard].lock());
+                if out[i].class == Class::Duplicate && lifecycle_pending(state, item) {
+                    // Exempt from rate limiting, so the enforcer's clock
+                    // already stands at `t`: only the swarm is behind.
+                    out[i].class = Class::Admitted;
+                }
                 let (complete, incomplete) = if out[i].class == Class::Admitted {
                     applied += 1;
                     apply_mutation(state, item)
@@ -368,8 +399,7 @@ impl Plane {
                 // the same order TrackerSim established.
                 if out[i].class == Class::Admitted {
                     if let Some(plan) = &self.faults {
-                        let draw =
-                            key(&[u64::from(item.client()), u64::from(item.torrent()), item.t]);
+                        let draw = key(&[u64::from(clients[i]), u64::from(item.torrent()), item.t]);
                         if plan
                             .check::<points::TruncatedReply>(draw)
                             .or_else(|| plan.check::<points::MalformedReply>(draw))
@@ -427,8 +457,14 @@ impl Plane {
     /// rate-limit) is exactly `TrackerSim`'s. The second return value is
     /// `false` when the refusal is an exact retransmit that must not be
     /// counted again.
-    fn admit(&self, stripe: &mut EnforceStripe, item: &AnnounceItem) -> (Class, bool) {
-        let class = self.classify(&mut stripe.enf, item);
+    fn admit(
+        &self,
+        stripe: &mut EnforceStripe,
+        registered: &FxHashSet<InfoHash>,
+        item: &AnnounceItem,
+        client: u32,
+    ) -> (Class, bool) {
+        let class = self.classify(&mut stripe.enf, registered, item, client);
         match class {
             Class::Admitted | Class::Duplicate => (class, true),
             _ => {
@@ -441,7 +477,7 @@ impl Plane {
                 // the first arrival counts.
                 let slot = stripe
                     .last_refusal
-                    .entry((item.client(), item.torrent()))
+                    .entry((client, item.torrent()))
                     .or_insert(u64::MAX);
                 let fresh = *slot == u64::MAX || item.t > *slot;
                 if fresh {
@@ -452,8 +488,13 @@ impl Plane {
         }
     }
 
-    fn classify(&self, enf: &mut Enforcer, item: &AnnounceItem) -> Class {
-        let client = item.client();
+    fn classify(
+        &self,
+        enf: &mut Enforcer,
+        registered: &FxHashSet<InfoHash>,
+        item: &AnnounceItem,
+        client: u32,
+    ) -> Class {
         let torrent = item.torrent();
         if let Some(plan) = &self.faults {
             let draw = key(&[u64::from(client), u64::from(torrent), item.t]);
@@ -467,7 +508,7 @@ impl Plane {
         if enf.is_blacklisted(client) {
             return Class::Blacklisted;
         }
-        if !self.registered.contains(&item.info_hash) {
+        if !registered.contains(&item.info_hash) {
             return Class::Unknown;
         }
         // Lifecycle completions/departures are never throttled — a real
@@ -585,7 +626,9 @@ impl Plane {
     }
 
     /// The canonical swarm snapshot: every registered torrent with
-    /// state, peers sorted by peer id; every client with strikes or a
+    /// state, in info-hash byte order (which is torrent-id order for
+    /// scripted torrents, see [`info_hash_for`]), peers sorted by peer
+    /// id and labelled by client id; every client with strikes or a
     /// blacklist entry; the deterministic counters. Two planes that
     /// processed the same per-client announce sequences produce
     /// byte-identical snapshots **regardless of shard count or
@@ -594,8 +637,15 @@ impl Plane {
         use std::fmt::Write;
         let mut out = String::new();
         let c = self.counts();
+        // Only torrents with swarm state print, and every one of those
+        // is registered (unknown torrents are refused before phase 2).
+        let mut hashes: Vec<InfoHash> = Vec::new();
+        for shard in &self.swarms {
+            hashes.extend(shard.lock().swarms.keys());
+        }
+        hashes.sort_unstable();
         out.push_str("serve-snapshot v1\n");
-        let _ = writeln!(out, "torrents={}", self.cfg.torrents);
+        let _ = writeln!(out, "torrents={}", self.registered.read().len());
         let _ = writeln!(
             out,
             "counts admitted={} rate_limited={} blacklisted={} unknown={} \
@@ -610,10 +660,9 @@ impl Plane {
             c.garbled
         );
         let mut peers: Vec<(PeerId, PeerSlot)> = Vec::new();
-        for id in 0..self.cfg.torrents {
-            let ih = info_hash_for(self.cfg.seed, id);
-            let shard = self.swarms[shard_of(&ih, self.cfg.shards)].lock();
-            let Some(swarm) = shard.swarms.get(&ih) else {
+        for ih in &hashes {
+            let shard = self.swarms[shard_of(ih, self.cfg.shards)].lock();
+            let Some(swarm) = shard.swarms.get(ih) else {
                 continue;
             };
             if swarm.peers.is_empty() && swarm.downloaded == 0 {
@@ -621,8 +670,11 @@ impl Plane {
             }
             let _ = writeln!(
                 out,
-                "torrent {id} complete={} incomplete={} downloaded={}",
-                swarm.seeders, swarm.leechers, swarm.downloaded
+                "torrent {} complete={} incomplete={} downloaded={}",
+                torrent_of(ih),
+                swarm.seeders,
+                swarm.leechers,
+                swarm.downloaded
             );
             peers.clear();
             peers.extend(
@@ -636,7 +688,7 @@ impl Plane {
                 let _ = writeln!(
                     out,
                     "  peer {} ip={} port={} left={}",
-                    super::wire::client_of(pid),
+                    client_of(pid),
                     slot.ip,
                     slot.port,
                     slot.left
@@ -679,6 +731,7 @@ fn apply_mutation(shard: &mut SwarmShard, item: &AnnounceItem) -> (u32, u32) {
             let slot = PeerSlot {
                 ip: item.ip,
                 port: item.port,
+                event,
                 left: item.left,
             };
             if let Some(old) = swarm.peers.insert(sym, slot) {
@@ -688,6 +741,23 @@ fn apply_mutation(shard: &mut SwarmShard, item: &AnnounceItem) -> (u32, u32) {
         }
     }
     (swarm.seeders, swarm.leechers)
+}
+
+/// Whether a `Duplicate` lifecycle announce is in fact new. The enforcer
+/// dedups on `(client, torrent, t)` alone, so a `stopped` or `completed`
+/// in the same second as the peer's previous announce looks like a
+/// retransmit of it. The swarm tells them apart: a retransmit finds its
+/// effect already applied (the peer gone, or already completed).
+fn lifecycle_pending(shard: &SwarmShard, item: &AnnounceItem) -> bool {
+    let slot = shard
+        .interner
+        .lookup(&item.peer_id)
+        .and_then(|sym| shard.swarms.get(&item.info_hash)?.peers.get(&sym));
+    match item.event {
+        AnnounceEvent::Stopped => slot.is_some(),
+        AnnounceEvent::Completed => slot.is_some_and(|s| s.event != AnnounceEvent::Completed),
+        AnnounceEvent::Started | AnnounceEvent::Interval => false,
+    }
 }
 
 /// Reads a swarm's counts without mutating (duplicate re-serve).
@@ -845,7 +915,11 @@ mod tests {
         }
         assert!(saw_blacklist, "hammering client must get blacklisted");
         let snap = plane.snapshot();
-        assert!(snap.contains("client 77"), "snapshot records the offender:\n{snap}");
+        let offender = client_of(&peer_id_for(77));
+        assert!(
+            snap.contains(&format!("client {offender} ")),
+            "snapshot records the offender:\n{snap}"
+        );
         assert!(snap.contains("blacklisted=1"));
     }
 
@@ -868,11 +942,9 @@ mod tests {
             for i in 0..20u64 {
                 let t = i * 7200 + u64::from(client);
                 let torrent = (i % 4) as u32;
-                plane.apply_batch(
-                    &[item(70, client, torrent, t, AnnounceEvent::Interval, 1)],
-                    &mut out,
-                );
-                let draw = key(&[u64::from(client), u64::from(torrent), t]);
+                let it = item(70, client, torrent, t, AnnounceEvent::Interval, 1);
+                plane.apply_batch(std::slice::from_ref(&it), &mut out);
+                let draw = key(&[u64::from(it.client()), u64::from(torrent), t]);
                 if plan.tracker_down(t).is_some() {
                     assert_eq!(out[0].class, Class::Down);
                     down += 1;
@@ -918,5 +990,91 @@ mod tests {
         let c = plane.counts();
         assert_eq!(c.garbled, 2, "two unique frames");
         assert_eq!(c.duplicate, 1, "one exact retransmit");
+    }
+
+    /// Three real clients of one make (`-SD0002-…`) seed one torrent in
+    /// the same second: three clients, three seeders, none a retransmit.
+    #[test]
+    fn same_prefix_peers_are_distinct_clients() {
+        let plane = Plane::new(PlaneConfig::new(6, 1, 2));
+        let ih = info_hash_for(6, 0);
+        let items: Vec<AnnounceItem> = (0..3u8)
+            .map(|i| AnnounceItem {
+                info_hash: ih,
+                peer_id: PeerId::azureus_style("SD", "0002", [i; 12]),
+                t: 100,
+                left: 0,
+                event: AnnounceEvent::Started,
+                ip: 0x7F00_0001,
+                port: 40_000 + u16::from(i),
+            })
+            .collect();
+        let mut out = Vec::new();
+        plane.apply_batch(&items, &mut out);
+        assert!(out.iter().all(|o| o.class == Class::Admitted), "{out:?}");
+        assert_eq!((out[2].complete, out[2].incomplete), (3, 0));
+        assert_eq!(plane.scrape(&ih).complete, 3);
+        assert_eq!(plane.counts().admitted, 3);
+    }
+
+    #[test]
+    fn sample_respects_numwant() {
+        let plane = Plane::new(PlaneConfig::new(8, 2, 1));
+        let items: Vec<AnnounceItem> = (0..60u32)
+            .map(|c| item(8, c, 0, 100, AnnounceEvent::Started, 10))
+            .collect();
+        plane.apply_batch(&items, &mut Vec::new());
+        let mut peers = Vec::new();
+        plane.sample_peers(&info_hash_for(8, 0), 25, &mut peers);
+        assert_eq!(peers.len(), 25);
+        let unique: std::collections::HashSet<_> = peers.iter().collect();
+        assert_eq!(unique.len(), 25, "sample has no duplicates");
+    }
+
+    #[test]
+    fn runtime_registered_torrents_are_served_and_snapshotted() {
+        let plane = Plane::new(PlaneConfig::new(9, 2, 2));
+        let ih = InfoHash([0xAB; 20]);
+        let mut it = item(9, 1, 0, 100, AnnounceEvent::Started, 0);
+        it.info_hash = ih;
+        let mut out = Vec::new();
+        plane.apply_batch(std::slice::from_ref(&it), &mut out);
+        assert_eq!(out[0].class, Class::Unknown);
+        plane.register(ih);
+        assert!(plane.is_registered(&ih));
+        it.t = 200;
+        plane.apply_batch(std::slice::from_ref(&it), &mut out);
+        assert_eq!(out[0].class, Class::Admitted);
+        plane.apply_batch(&[item(9, 2, 1, 100, AnnounceEvent::Started, 5)], &mut out);
+        let snap = plane.snapshot();
+        assert!(snap.contains("torrents=3\n"), "{snap}");
+        // Hash-byte order: scripted torrent 1 (its hash leads with the
+        // big-endian id) before the runtime torrent's 0xAB… hash.
+        let scripted = snap.find("torrent 1 complete=0 incomplete=1").expect(&snap);
+        let line = format!("torrent {} complete=1 incomplete=0", torrent_of(&ih));
+        assert!(snap.find(&line).expect(&snap) > scripted, "{snap}");
+    }
+
+    /// Started, completed and stopped within one logical second are
+    /// three announces, not one and two retransmits; repeating any of
+    /// them is a retransmit.
+    #[test]
+    fn lifecycle_in_the_same_second_is_not_a_retransmit() {
+        let plane = Plane::new(PlaneConfig::new(10, 1, 1));
+        let mut out = Vec::new();
+        let mut serve = |event, left| {
+            plane.apply_batch(&[item(10, 1, 0, 50, event, left)], &mut out);
+            (out[0].class, out[0].complete, out[0].incomplete)
+        };
+        use AnnounceEvent::{Completed, Started, Stopped};
+        assert_eq!(serve(Started, 100), (Class::Admitted, 0, 1));
+        assert_eq!(serve(Completed, 0), (Class::Admitted, 1, 0));
+        assert_eq!(serve(Completed, 0), (Class::Duplicate, 1, 0));
+        assert_eq!(serve(Stopped, 0), (Class::Admitted, 0, 0));
+        assert_eq!(serve(Stopped, 0), (Class::Duplicate, 0, 0));
+        // A retransmitted `started` stays a retransmit: no rejoin.
+        assert_eq!(serve(Started, 100), (Class::Duplicate, 0, 0));
+        assert_eq!(plane.scrape(&info_hash_for(10, 0)).downloaded, 1);
+        assert_eq!(plane.counts().admitted, 3);
     }
 }

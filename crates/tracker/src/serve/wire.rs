@@ -11,20 +11,24 @@
 //!    decoders ignore trailing bytes, so the timestamp rides there
 //!    ([`append_sim_time`]/[`sim_time_ext`]); over HTTP it rides in a
 //!    `&t=` query parameter real trackers would ignore.
-//! 2. **Identity conventions.** The announcing client id is the first
-//!    four bytes of its peer id ([`client_of`]/[`peer_id_for`]), and a
-//!    torrent's info-hash embeds its torrent id in the leading four
-//!    bytes ([`info_hash_for`]/[`torrent_of`]) with the remaining
-//!    sixteen derived from the serving seed — the daemon can recover
-//!    the `(client, torrent, t)` fault-draw coordinates from any
-//!    datagram without a lookup table.
+//! 2. **Identity conventions.** The announcing client id is a hash of
+//!    all twenty peer-id bytes ([`client_of`]): real clients share
+//!    azureus-style prefixes such as `-UT2210-`, so no prefix of the id
+//!    tells two peers apart. A torrent's info-hash embeds its torrent id
+//!    in the leading four bytes ([`info_hash_for`]/[`torrent_of`]) with
+//!    the remaining sixteen derived from the serving seed — the daemon
+//!    can recover the `(client, torrent, t)` fault-draw coordinates from
+//!    any datagram without a lookup table.
 //! 3. **The batch announce frame.** The throughput path packs up to
 //!    [`MAX_BATCH`] announces into one datagram with a one-byte outcome
 //!    class per item in the response ([`encode_batch`]/[`decode_batch`]
 //!    and friends) — the per-shard batched application the daemon is
 //!    built around starts at the wire.
 
+use std::hash::Hasher;
+
 use btpub_faults::mix;
+use btpub_fxhash::FxHasher;
 use btpub_proto::tracker::AnnounceEvent;
 use btpub_proto::types::{InfoHash, PeerId};
 
@@ -50,7 +54,7 @@ pub const OUTCOME_LEN: usize = 9;
 pub struct AnnounceItem {
     /// Torrent being announced.
     pub info_hash: InfoHash,
-    /// Announcing peer (client id in the first four bytes).
+    /// Announcing peer (its hash is the client id, see [`client_of`]).
     pub peer_id: PeerId,
     /// Simulated timestamp, seconds.
     pub t: u64,
@@ -65,7 +69,7 @@ pub struct AnnounceItem {
 }
 
 impl AnnounceItem {
-    /// The announcing client id (leading peer-id bytes).
+    /// The announcing client id (see [`client_of`]).
     pub fn client(&self) -> u32 {
         client_of(&self.peer_id)
     }
@@ -128,9 +132,9 @@ pub struct Outcome {
     pub incomplete: u32,
 }
 
-/// Derives the peer id a scripted client announces with: client id in
-/// the leading four bytes (the [`client_of`] convention), the rest
-/// seeded filler.
+/// Derives the peer id a scripted client announces with: the script's
+/// client number in the leading four bytes, the rest seeded filler. The
+/// plane identifies the announcer by [`client_of`] of the whole id.
 pub fn peer_id_for(client: u32) -> PeerId {
     let mut id = [0u8; 20];
     id[..4].copy_from_slice(&client.to_be_bytes());
@@ -141,9 +145,15 @@ pub fn peer_id_for(client: u32) -> PeerId {
     PeerId(id)
 }
 
-/// The client id encoded in a peer id's leading bytes.
+/// The client id of a peer id: an fxhash of all twenty bytes, folded to
+/// `u32`. Every admission decision (rate limit, strikes, blacklist,
+/// fault draws, enforcement stripe) keys on this, so two peers whose ids
+/// differ anywhere are two clients.
 pub fn client_of(peer_id: &PeerId) -> u32 {
-    u32::from_be_bytes([peer_id.0[0], peer_id.0[1], peer_id.0[2], peer_id.0[3]])
+    let mut h = FxHasher::default();
+    h.write(&peer_id.0);
+    let x = h.finish();
+    (x ^ (x >> 32)) as u32
 }
 
 /// Derives the info-hash of scripted torrent `id`: the id in the leading
@@ -373,9 +383,23 @@ mod tests {
 
     #[test]
     fn identity_conventions_roundtrip() {
-        for client in [0u32, 1, 0xF000_0001, u32::MAX] {
-            assert_eq!(client_of(&peer_id_for(client)), client);
-        }
+        // Every peer-id byte counts: ids sharing an azureus-style prefix,
+        // or differing only in the last byte, are different clients.
+        let a = PeerId::azureus_style("SD", "0002", [0; 12]);
+        let b = PeerId::azureus_style("SD", "0002", [1; 12]);
+        let mut c = a;
+        c.0[19] ^= 1;
+        assert_ne!(client_of(&a), client_of(&b));
+        assert_ne!(client_of(&a), client_of(&c));
+        assert_eq!(
+            client_of(&a),
+            client_of(&PeerId::azureus_style("SD", "0002", [0; 12]))
+        );
+        let scripted: std::collections::HashSet<u32> = [0u32, 1, 0xF000_0001, u32::MAX]
+            .iter()
+            .map(|&n| client_of(&peer_id_for(n)))
+            .collect();
+        assert_eq!(scripted.len(), 4, "scripted clients stay distinct");
         for id in [0u32, 7, 9999] {
             assert_eq!(torrent_of(&info_hash_for(11, id)), id);
             // Different seeds give different hashes for the same id.

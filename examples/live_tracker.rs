@@ -1,6 +1,7 @@
-//! Real networking end to end: a TCP tracker and real peer-wire seeders
-//! on localhost, crawled with actual sockets — §2's identification
-//! procedure against live endpoints rather than the simulation.
+//! Real networking end to end: the tracker daemon and real peer-wire
+//! seeders on localhost, crawled with actual sockets — §2's
+//! identification procedure against live endpoints rather than the
+//! simulation.
 //!
 //! ```text
 //! cargo run --release --example live_tracker
@@ -12,11 +13,11 @@ use btpub::proto::tracker::{AnnounceEvent, AnnounceRequest};
 use btpub::proto::types::PeerId;
 use btpub::tracker::client;
 use btpub::tracker::livepeer::LivePeer;
-use btpub::tracker::server::TrackerServer;
+use btpub::tracker::serve::{ServeConfig, ServeDaemon};
 
 fn main() -> std::io::Result<()> {
-    // 1. Start the tracker.
-    let tracker = TrackerServer::start(2010)?;
+    // 1. Start the tracker: one shard, no scripted torrents.
+    let tracker = ServeDaemon::start(ServeConfig::new(2010, 1, 0))?;
     println!("tracker listening on {}", tracker.announce_url());
 
     // 2. A publisher creates and registers three torrents, seeding each

@@ -307,6 +307,12 @@ fi
     "$tmpdir/serve-manifest-b.json"
 echo "serve.* surfaced in metrics, manifest, and report; digests unperturbed"
 
+echo "== live crawl: the live crawler against the tracker daemon =="
+# Real sockets end to end: the daemon, peer-wire seeders and a leecher,
+# then the crawler's first contact. The example asserts that it pins
+# every swarm's seeder and exits nonzero when it does not.
+cargo run --release --offline --quiet --example live_tracker >/dev/null
+
 echo "== crash-resume gate: seeded kill mid-campaign, resume, byte-diff =="
 # Arm a deterministic abort at the 128th fold, run with checkpoints, and
 # prove the resumed run's stdout is byte-identical to the uninterrupted

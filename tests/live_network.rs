@@ -1,4 +1,4 @@
-//! Real-socket integration: the tracker server, peer-wire seeders and the
+//! Real-socket integration: the tracker daemon, peer-wire seeders and the
 //! live crawler, all over actual TCP on localhost.
 
 use btpub::crawler::live::{crawler_peer_id, first_contact};
@@ -7,7 +7,12 @@ use btpub::proto::tracker::{AnnounceEvent, AnnounceRequest, AnnounceResponse};
 use btpub::proto::types::PeerId;
 use btpub::tracker::client;
 use btpub::tracker::livepeer::{probe_bitfield, LivePeer};
-use btpub::tracker::server::TrackerServer;
+use btpub::tracker::serve::{ServeConfig, ServeDaemon};
+
+/// The live-network tracker: one shard, no scripted torrents.
+fn start_tracker(seed: u64) -> ServeDaemon {
+    ServeDaemon::start(ServeConfig::new(seed, 1, 0)).unwrap()
+}
 
 fn seeder_announce(ih: btpub::proto::types::InfoHash, id: PeerId, port: u16) -> AnnounceRequest {
     AnnounceRequest {
@@ -25,7 +30,7 @@ fn seeder_announce(ih: btpub::proto::types::InfoHash, id: PeerId, port: u16) -> 
 
 #[test]
 fn full_live_pipeline_identifies_seeders_across_swarms() {
-    let tracker = TrackerServer::start(7).unwrap();
+    let tracker = start_tracker(7);
     let mut seeders = Vec::new();
     let mut torrents = Vec::new();
     for i in 0..3u8 {
@@ -42,7 +47,8 @@ fn full_live_pipeline_identifies_seeders_across_swarms() {
         seeders.push(peer);
         torrents.push(m);
     }
-    assert_eq!(tracker.torrent_count(), 3);
+    // The snapshot header counts registered torrents.
+    assert!(tracker.plane().snapshot().contains("\ntorrents=3\n"));
     for (i, m) in torrents.iter().enumerate() {
         let obs = first_contact(m, 1, 20).unwrap();
         assert_eq!(obs.complete, 1, "swarm {i}");
@@ -56,7 +62,7 @@ fn full_live_pipeline_identifies_seeders_across_swarms() {
 
 #[test]
 fn tracker_interval_and_stopped_events_work_live() {
-    let tracker = TrackerServer::start(8).unwrap();
+    let tracker = start_tracker(8);
     let m = MetainfoBuilder::new(&tracker.announce_url(), "x", 1 << 18).build();
     let ih = m.info_hash();
     tracker.register(ih);
@@ -98,7 +104,7 @@ fn tracker_interval_and_stopped_events_work_live() {
 
 #[test]
 fn unregistered_torrents_are_refused_live() {
-    let tracker = TrackerServer::start(9).unwrap();
+    let tracker = start_tracker(9);
     let m = MetainfoBuilder::new(&tracker.announce_url(), "ghost", 1 << 18).build();
     let req = AnnounceRequest {
         info_hash: m.info_hash(),
@@ -131,7 +137,7 @@ fn live_probe_rejects_wrong_piece_count() {
 
 #[test]
 fn concurrent_live_announces_do_not_corrupt_state() {
-    let tracker = TrackerServer::start(10).unwrap();
+    let tracker = start_tracker(10);
     let m = MetainfoBuilder::new(&tracker.announce_url(), "busy", 1 << 18).build();
     let ih = m.info_hash();
     tracker.register(ih);
