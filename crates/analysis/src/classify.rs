@@ -11,12 +11,11 @@
 //! promoters run BitTorrent portals, and publishers with no URL anywhere
 //! are altruistic.
 
-use btpub_crawler::{Dataset, TorrentRecord};
+use btpub_crawler::TorrentRecord;
 use btpub_fxhash::FxHashMap;
 use btpub_sim::content::Category;
 use btpub_sim::profile::BusinessClass;
 
-use crate::fake::Groups;
 use crate::publishers::{PublisherKey, PublisherStats};
 
 /// Where a promoting URL was found.
@@ -72,9 +71,7 @@ pub fn extract_filename_url(filename: &str) -> Option<String> {
 
 /// Incremental §5.1 evidence for one publisher: records fold in one at a
 /// time (in torrent-index order), [`ClassAcc::finish`] applies the
-/// classification rules. [`classify_top`] runs the materialized records
-/// through this same accumulator, so streaming and materialized
-/// classification are one code path.
+/// classification rules to each Top publisher.
 #[derive(Debug, Clone, Default)]
 pub struct ClassAcc {
     url: Option<String>,
@@ -205,54 +202,9 @@ impl ClassAcc {
     }
 }
 
-/// Classifies the Top publishers of a dataset.
-pub fn classify_top(
-    dataset: &Dataset,
-    publishers: &[PublisherStats],
-    groups: &Groups,
-) -> Vec<Classified> {
-    let _span = btpub_obs::span!("analysis.classify_top");
-    let by_key: FxHashMap<&PublisherKey, &PublisherStats> =
-        publishers.iter().map(|p| (&p.key, p)).collect();
-    groups
-        .top
-        .iter()
-        .filter_map(|key| {
-            let stats = by_key.get(key)?;
-            let mut acc = ClassAcc::default();
-            for &idx in &stats.torrents {
-                acc.observe(&dataset.torrents[idx]);
-            }
-            Some(acc.finish(stats.key.clone()))
-        })
-        .collect()
-}
-
 /// Per-class share of the top set, of all content, and of all downloads
-/// (§5.1's 26 %/18 %/29 % etc.).
+/// (§5.1's 26 %/18 %/29 % etc.), over campaign-wide totals.
 pub fn class_shares(
-    dataset: &Dataset,
-    publishers: &[PublisherStats],
-    classified: &[Classified],
-    class: BusinessClass,
-) -> (f64, f64, f64) {
-    let total_downloads: u64 = dataset
-        .torrents
-        .iter()
-        .map(|t| t.observed_downloaders() as u64)
-        .sum();
-    class_shares_from(
-        publishers,
-        classified,
-        class,
-        dataset.torrent_count(),
-        total_downloads,
-    )
-}
-
-/// Core of [`class_shares`] over campaign-wide totals instead of a
-/// materialized dataset (shared with the streaming path).
-pub fn class_shares_from(
     publishers: &[PublisherStats],
     classified: &[Classified],
     class: BusinessClass,
@@ -279,6 +231,9 @@ pub fn class_shares_from(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::fold_dataset;
+    use btpub_crawler::Dataset;
+    use btpub_geodb::GeoDbBuilder;
 
     #[test]
     fn url_extraction_from_textbox() {
@@ -337,17 +292,21 @@ mod tests {
                 mk(2, Category::Movies, "see http://www.hot-pics.net"),
             ],
         };
-        let pubs = crate::publishers::aggregate_publishers(&ds);
-        let mut groups = Groups::default();
-        groups.top.push(pubs[0].key.clone());
-        let classified = classify_top(&ds, &pubs, &groups);
+        let s = fold_dataset(&ds, &GeoDbBuilder::new().build().unwrap(), 1).finish();
+        assert_eq!(s.groups.top, vec![s.publishers[0].key.clone()]);
+        let classified = &s.classified;
         assert_eq!(classified.len(), 1);
         assert_eq!(classified[0].class, BusinessClass::OtherWeb);
         assert_eq!(classified[0].url.as_deref(), Some("www.hot-pics.net"));
         assert!(classified[0].placements.contains(&UrlPlacement::Textbox));
         assert_eq!(classified[0].language.as_deref(), Some("es"));
-        let (of_top, content, downloads) =
-            class_shares(&ds, &pubs, &classified, BusinessClass::OtherWeb);
+        let (of_top, content, downloads) = class_shares(
+            &s.publishers,
+            classified,
+            BusinessClass::OtherWeb,
+            s.totals.torrents_total,
+            s.totals.total_downloads,
+        );
         assert_eq!(of_top, 1.0);
         assert_eq!(content, 1.0);
         assert_eq!(downloads, 1.0);
@@ -381,10 +340,9 @@ mod tests {
                 observed_removed: false,
             }],
         };
-        let pubs = crate::publishers::aggregate_publishers(&ds);
-        let mut groups = Groups::default();
-        groups.top.push(pubs[0].key.clone());
-        let classified = classify_top(&ds, &pubs, &groups);
+        let s = fold_dataset(&ds, &GeoDbBuilder::new().build().unwrap(), 1).finish();
+        assert_eq!(s.groups.top, vec![s.publishers[0].key.clone()]);
+        let classified = &s.classified;
         assert_eq!(classified[0].class, BusinessClass::Altruistic);
         assert!(classified[0].url.is_none());
     }

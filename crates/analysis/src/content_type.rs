@@ -1,6 +1,5 @@
 //! §4.1 / Figure 2: content-type distribution per publisher group.
 
-use btpub_crawler::Dataset;
 use btpub_sim::content::Category;
 
 use crate::fake::{Group, Groups};
@@ -30,21 +29,11 @@ impl CategoryDistribution {
     }
 }
 
-/// Computes Figure 2's distribution for one group.
+/// Computes Figure 2's distribution for one group. `categories` is the
+/// fold's one-category-per-torrent column, indexed like
+/// [`PublisherStats::torrents`].
 pub fn category_distribution(
-    dataset: &Dataset,
-    publishers: &[PublisherStats],
-    groups: &Groups,
-    group: Group,
-) -> CategoryDistribution {
-    category_distribution_with(|idx| dataset.torrents[idx].category, publishers, groups, group)
-}
-
-/// Core of [`category_distribution`], parameterized over where a torrent
-/// index resolves to its category: the materialized path reads the full
-/// record, the streaming path reads a one-byte-per-torrent column.
-pub fn category_distribution_with(
-    category_of: impl Fn(usize) -> Category,
+    categories: &[Category],
     publishers: &[PublisherStats],
     groups: &Groups,
     group: Group,
@@ -56,7 +45,7 @@ pub fn category_distribution_with(
             continue;
         }
         for &idx in &p.torrents {
-            let cat = category_of(idx);
+            let cat = categories[idx];
             let pos = Category::ALL.iter().position(|c| *c == cat).expect("known");
             counts[pos] += 1;
             n += 1;
@@ -74,8 +63,10 @@ pub fn category_distribution_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::publishers::{aggregate_publishers, PublisherKey};
-    use btpub_crawler::TorrentRecord;
+    use crate::publishers::PublisherKey;
+    use crate::streaming::fold_dataset;
+    use btpub_crawler::{Dataset, TorrentRecord};
+    use btpub_geodb::GeoDbBuilder;
     use btpub_sim::{SimTime, TorrentId};
 
     fn rec(id: u32, user: &str, cat: Category) -> TorrentRecord {
@@ -114,17 +105,18 @@ mod tests {
                 rec(3, "b", Category::Books),
             ],
         };
-        let pubs = aggregate_publishers(&ds);
+        let s = fold_dataset(&ds, &GeoDbBuilder::new().build().unwrap(), 10).finish();
+        let (cats, pubs) = (&s.categories, &s.publishers);
         let mut groups = Groups::default();
         groups.top.push(PublisherKey::Username("a".into()));
-        let top = category_distribution(&ds, &pubs, &groups, Group::Top);
+        let top = category_distribution(cats, pubs, &groups, Group::Top);
         assert_eq!(top.n, 3);
         assert!((top.share(Category::Movies) - 2.0 / 3.0).abs() < 1e-9);
         assert!((top.video_share() - 2.0 / 3.0).abs() < 1e-9);
-        let all = category_distribution(&ds, &pubs, &groups, Group::All);
+        let all = category_distribution(cats, pubs, &groups, Group::All);
         assert_eq!(all.n, 4);
         assert!((all.fractions.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        let fake = category_distribution(&ds, &pubs, &groups, Group::Fake);
+        let fake = category_distribution(cats, pubs, &groups, Group::Fake);
         assert_eq!(fake.n, 0);
         assert_eq!(fake.video_share(), 0.0);
     }

@@ -141,24 +141,10 @@ pub fn economics_rows(classified: &[Classified], reports: &[SiteReport]) -> Vec<
         .collect()
 }
 
-/// §6's hosting-provider income estimate: distinct publisher IPs seen at
-/// the provider × the monthly server price (the paper: OVH, 78–164
-/// servers, ≈300 €/month ⇒ 23.4–42.9 K €/month).
-pub fn hosting_income_estimate(
-    dataset: &btpub_crawler::Dataset,
-    db: &btpub_geodb::GeoDb,
-    provider: &str,
-    monthly_price_eur: f64,
-) -> (usize, f64) {
-    hosting_income_from(
-        &crate::isp::isp_footprint(dataset, db, provider),
-        monthly_price_eur,
-    )
-}
-
-/// Core of [`hosting_income_estimate`] over an already-computed footprint
-/// (shared with the streaming path).
-pub fn hosting_income_from(
+/// §6's hosting-provider income estimate from a provider's footprint:
+/// distinct publisher IPs seen at the provider × the monthly server price
+/// (the paper: OVH, 78–164 servers, ≈300 €/month ⇒ 23.4–42.9 K €/month).
+pub fn hosting_income(
     fp: &crate::isp::IspFootprint,
     monthly_price_eur: f64,
 ) -> (usize, f64) {
@@ -168,17 +154,14 @@ pub fn hosting_income_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fake::assign_groups;
-    use crate::publishers::aggregate_publishers;
+    use crate::streaming::fold_dataset;
     use btpub_crawler::{run_crawl, CrawlerConfig};
     use btpub_sim::{Ecosystem, EcosystemConfig};
 
     fn setup() -> (Ecosystem, Vec<Classified>) {
         let eco = Ecosystem::generate(EcosystemConfig::tiny(123));
         let ds = run_crawl(&eco, &CrawlerConfig::default());
-        let pubs = aggregate_publishers(&ds);
-        let groups = assign_groups(&ds, &pubs, &eco.world.db, 30);
-        let classified = crate::classify::classify_top(&ds, &pubs, &groups);
+        let classified = fold_dataset(&ds, &eco.world.db, 30).finish().classified;
         (eco, classified)
     }
 
@@ -241,7 +224,9 @@ mod tests {
     fn hosting_income_counts_fake_providers_servers() {
         let eco = Ecosystem::generate(EcosystemConfig::tiny(123));
         let ds = run_crawl(&eco, &CrawlerConfig::default());
-        let (servers, income) = hosting_income_estimate(&ds, &eco.world.db, "tzulo", 300.0);
+        let db = &eco.world.db;
+        let footprint = fold_dataset(&ds, db, 30).finish().isp.footprint(db, "tzulo");
+        let (servers, income) = hosting_income(&footprint, 300.0);
         assert_eq!(income, servers as f64 * 300.0);
     }
 }

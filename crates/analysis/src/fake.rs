@@ -15,14 +15,12 @@
 //! accounts, split into Top-HP / Top-CI by each publisher's dominant ISP
 //! kind.
 
-use btpub_crawler::{Dataset, TorrentRecord};
+use btpub_crawler::TorrentRecord;
 use btpub_fxhash::{FxHashMap, FxHashSet, Interner, Sym};
 use btpub_geodb::{GeoDb, IspKind};
 
 use crate::isp::dominant_kind;
-use crate::publishers::{
-    intern_usernames, ip_to_usernames, top_ips_by_content, PublisherKey, PublisherStats,
-};
+use crate::publishers::{PublisherKey, PublisherStats};
 
 /// The analysis groups of §4's figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -92,10 +90,8 @@ impl Groups {
 pub const FAKE_IP_USERNAME_THRESHOLD: usize = 3;
 
 /// The per-record evidence §3.3's detection consumes, accumulated one
-/// record at a time. The materialized [`assign_groups`] and
-/// [`mapping_stats`] scans and the streaming ingest loop both fold
-/// records through [`GroupSignals::observe`], so detection sees exactly
-/// the same evidence either way.
+/// record at a time by the [`crate::streaming::StreamAggregator`] fold
+/// and read by [`assign_groups`] and [`mapping_stats`].
 #[derive(Debug, Clone, Default)]
 pub struct GroupSignals {
     /// Usernames tainted by takedowns (signal 1).
@@ -241,8 +237,8 @@ impl GroupSignals {
         Ok(out)
     }
 
-    /// Content counts per identified IP, sorted descending with the same
-    /// tie-break as [`top_ips_by_content`].
+    /// Content counts per identified IP, sorted descending (ties by
+    /// ascending IP) — the "top-100 IP addresses" ranking of §3.3.
     pub fn top_ips(&self) -> Vec<(u32, usize)> {
         let mut out: Vec<(u32, usize)> = self.ip_content.iter().map(|(&k, &v)| (k, v)).collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -250,38 +246,10 @@ impl GroupSignals {
     }
 }
 
-/// Scans a materialized dataset into [`GroupSignals`].
-pub fn collect_signals(dataset: &Dataset, users: &Interner) -> GroupSignals {
-    let mut signals = GroupSignals::default();
-    for rec in &dataset.torrents {
-        signals.observe(rec, users);
-    }
-    signals
-}
-
-/// Runs §3.3's detection and grouping over a username-bearing dataset.
+/// Runs §3.3's detection and grouping: turns the accumulated per-record
+/// evidence into group assignments. `users` is `None` for mn08-style
+/// datasets without usernames.
 pub fn assign_groups(
-    dataset: &Dataset,
-    publishers: &[PublisherStats],
-    db: &GeoDb,
-    top_k: usize,
-) -> Groups {
-    let _span = btpub_obs::span!("analysis.assign_groups");
-    if !dataset.has_usernames {
-        return assign_groups_from(&GroupSignals::default(), publishers, db, top_k, None);
-    }
-    // Both signals work on interned symbols; strings are resolved once at
-    // the end, so the per-record and per-IP set operations hash a `u32`
-    // instead of username bytes.
-    let users = intern_usernames(dataset);
-    let signals = collect_signals(dataset, &users);
-    assign_groups_from(&signals, publishers, db, top_k, Some(&users))
-}
-
-/// Core of [`assign_groups`], shared with the streaming path: turns the
-/// accumulated per-record evidence into group assignments. `users` is
-/// `None` for mn08-style datasets without usernames.
-pub fn assign_groups_from(
     signals: &GroupSignals,
     publishers: &[PublisherStats],
     db: &GeoDb,
@@ -359,23 +327,13 @@ pub fn assign_groups_from(
     groups
 }
 
-/// Content and download shares of a group, over the whole dataset
+/// Content and download shares of a group, over campaign-wide totals
 /// (§3.3's "fake publishers are responsible for 30 % of content and 25 %
-/// of downloads"; Top: 37 % / 50 %).
-pub fn group_shares(dataset: &Dataset, publishers: &[PublisherStats], groups: &Groups, group: Group) -> (f64, f64) {
-    let total_downloads: u64 = dataset
-        .torrents
-        .iter()
-        .map(|t| t.observed_downloaders() as u64)
-        .sum();
-    group_shares_from(publishers, groups, group, dataset.torrent_count(), total_downloads)
-}
-
-/// Core of [`group_shares`] over campaign-wide totals instead of a
-/// materialized dataset. A member's torrent count and download total are
-/// already held in its [`PublisherStats`], so summing those per publisher
-/// is integer-identical to walking the member torrents one by one.
-pub fn group_shares_from(
+/// of downloads"; Top: 37 % / 50 %). A member's torrent count and
+/// download total are already held in its [`PublisherStats`], so summing
+/// those per publisher is integer-identical to walking the member
+/// torrents one by one.
+pub fn group_shares(
     publishers: &[PublisherStats],
     groups: &Groups,
     group: Group,
@@ -401,26 +359,12 @@ pub fn group_shares_from(
 /// username-keyed aggregation would dilute their signature to one or two
 /// torrents per "publisher". The paper studies fake publishers as the
 /// server IPs at their three hosting providers; this mirrors that.
-pub fn fake_ip_stats(dataset: &Dataset, groups: &Groups) -> Vec<PublisherStats> {
-    let mut agg: std::collections::BTreeMap<u32, (Vec<usize>, u64)> = Default::default();
-    for (idx, rec) in dataset.torrents.iter().enumerate() {
-        let Some(ip) = rec.publisher_ip else { continue };
-        let ip = u32::from(ip);
-        if !groups.fake_ips.contains(&ip) {
-            continue;
-        }
-        let entry = agg.entry(ip).or_default();
-        entry.0.push(idx);
-        entry.1 += rec.observed_downloaders() as u64;
-    }
-    fake_entities_from(agg)
-}
-
-/// Core of [`fake_ip_stats`]: turns per-IP (torrent indices, downloads)
-/// accumulators — keyed ascending by IP, fake IPs only — into the sorted
-/// entity list. The sort is stable, so ties keep the ascending-IP order
-/// of the `BTreeMap`.
-pub fn fake_entities_from(
+///
+/// Takes per-IP (torrent indices, downloads) accumulators — keyed
+/// ascending by IP, fake IPs only — and returns the sorted entity list.
+/// The sort is stable, so ties keep the ascending-IP order of the
+/// `BTreeMap`.
+pub fn fake_entities(
     per_ip: std::collections::BTreeMap<u32, (Vec<usize>, u64)>,
 ) -> Vec<PublisherStats> {
     let mut out: Vec<PublisherStats> = per_ip
@@ -462,40 +406,19 @@ pub struct MappingStats {
     pub avg_ips_multi_ci: f64,
 }
 
-/// Computes [`MappingStats`] over the top-k of each ranking.
+/// Computes [`MappingStats`] over the top-k of each ranking, from the
+/// evidence the fold accumulated.
 pub fn mapping_stats(
-    dataset: &Dataset,
-    publishers: &[PublisherStats],
-    db: &GeoDb,
-    top_k: usize,
-) -> MappingStats {
-    let users = intern_usernames(dataset);
-    let top_ips = top_ips_by_content(dataset);
-    let by_ip = ip_to_usernames(dataset, &users);
-    let mut ip_torrents: FxHashMap<(Sym, u32), usize> = FxHashMap::default();
-    for rec in &dataset.torrents {
-        if let (Some(ip), Some(user)) = (rec.publisher_ip, &rec.username) {
-            let sym = users.get(user).expect("username interned");
-            *ip_torrents.entry((sym, u32::from(ip))).or_default() += 1;
-        }
-    }
-    mapping_stats_from(publishers, db, top_k, &users, &top_ips, &by_ip, &ip_torrents)
-}
-
-/// Core of [`mapping_stats`], over pre-accumulated views (the streaming
-/// path hands in the same maps built record by record).
-#[allow(clippy::too_many_arguments)]
-pub fn mapping_stats_from(
     publishers: &[PublisherStats],
     db: &GeoDb,
     top_k: usize,
     users: &Interner,
-    top_ips: &[(u32, usize)],
-    by_ip: &FxHashMap<u32, FxHashSet<Sym>>,
-    ip_torrents: &FxHashMap<(Sym, u32), usize>,
+    signals: &GroupSignals,
 ) -> MappingStats {
+    let GroupSignals { by_ip, ip_torrents, .. } = signals;
     let mut stats = MappingStats::default();
     // Top IPs side.
+    let top_ips = signals.top_ips();
     let considered: Vec<&(u32, usize)> = top_ips.iter().take(top_k).collect();
     if !considered.is_empty() {
         let unique = considered
@@ -590,8 +513,8 @@ pub fn mapping_stats_from(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::publishers::aggregate_publishers;
-    use btpub_crawler::TorrentRecord;
+    use crate::streaming::{fold_dataset, StreamAnalyses};
+    use btpub_crawler::{Dataset, TorrentRecord};
     use btpub_geodb::GeoDbBuilder;
     use btpub_sim::content::Category;
     use btpub_sim::{SimTime, TorrentId};
@@ -631,6 +554,11 @@ mod tests {
         }
     }
 
+    /// Folds the records the way `Study::analyze` does, at top-k `k`.
+    fn analyze(d: &Dataset, k: usize) -> StreamAnalyses {
+        fold_dataset(d, &db(), k).finish()
+    }
+
     fn ds(torrents: Vec<TorrentRecord>) -> Dataset {
         Dataset {
             name: "t".into(),
@@ -648,8 +576,7 @@ mod tests {
             rec(1, "fakeacct", Some([10, 0, 0, 1]), true),
             rec(2, "clean", Some([24, 0, 0, 1]), false),
         ]);
-        let pubs = aggregate_publishers(&d);
-        let g = assign_groups(&d, &pubs, &db(), 10);
+        let g = analyze(&d, 10).groups;
         assert!(g.fake_usernames.contains("fakeacct"));
         assert!(!g.fake_usernames.contains("clean"));
         assert!(g.fake_ips.contains(&u32::from(Ipv4Addr::new(10, 0, 0, 1))));
@@ -668,8 +595,7 @@ mod tests {
             rec(2, "a3", Some(shared_ip), false),
             rec(3, "clean", Some([24, 0, 0, 1]), false),
         ]);
-        let pubs = aggregate_publishers(&d);
-        let g = assign_groups(&d, &pubs, &db(), 10);
+        let g = analyze(&d, 10).groups;
         assert!(g.fake_ips.contains(&u32::from(Ipv4Addr::from(shared_ip))));
         for u in ["a1", "a2", "a3"] {
             assert!(g.fake_usernames.contains(u), "{u} should be tainted");
@@ -683,8 +609,7 @@ mod tests {
             rec(0, "hosted", Some([10, 0, 0, 1]), false),
             rec(1, "cable", Some([24, 0, 0, 1]), false),
         ]);
-        let pubs = aggregate_publishers(&d);
-        let g = assign_groups(&d, &pubs, &db(), 10);
+        let g = analyze(&d, 10).groups;
         let hosted = PublisherKey::Username("hosted".into());
         let cable = PublisherKey::Username("cable".into());
         assert!(g.top_hp.contains(&hosted));
@@ -702,9 +627,14 @@ mod tests {
             rec(2, "top1", Some([24, 0, 0, 1]), false),
             rec(3, "top1", Some([24, 0, 0, 2]), false),
         ]);
-        let pubs = aggregate_publishers(&d);
-        let g = assign_groups(&d, &pubs, &db(), 1);
-        let (fc, fdl) = group_shares(&d, &pubs, &g, Group::Fake);
+        let s = analyze(&d, 1);
+        let (fc, fdl) = group_shares(
+            &s.publishers,
+            &s.groups,
+            Group::Fake,
+            s.totals.torrents_total,
+            s.totals.total_downloads,
+        );
         assert!((fc - 0.5).abs() < 1e-9);
         assert!((fdl - 0.5).abs() < 1e-9);
     }
@@ -724,8 +654,7 @@ mod tests {
             rec(5, "homework", Some([24, 0, 2, 1]), false),
             rec(6, "homework", Some([32, 0, 0, 1]), false),
         ]);
-        let pubs = aggregate_publishers(&d);
-        let s = mapping_stats(&d, &pubs, &db(), 10);
+        let s = analyze(&d, 10).mapping;
         assert!((s.single_ip - 0.25).abs() < 1e-9);
         assert!((s.multi_ip_hosting - 0.25).abs() < 1e-9);
         assert!((s.multi_ip_single_ci - 0.25).abs() < 1e-9);
@@ -745,8 +674,7 @@ mod tests {
         for t in &mut d.torrents {
             t.username = None;
         }
-        let pubs = aggregate_publishers(&d);
-        let g = assign_groups(&d, &pubs, &db(), 10);
+        let g = analyze(&d, 10).groups;
         assert_eq!(g.top.len(), 2);
         assert_eq!(g.top_hp.len(), 1);
         assert_eq!(g.top_ci.len(), 1);

@@ -2,7 +2,6 @@
 
 use std::net::Ipv4Addr;
 
-use btpub_crawler::Dataset;
 use btpub_fxhash::{FxHashMap, FxHashSet};
 use btpub_geodb::{prefix16, GeoDb, IspId, IspKind, LocationId};
 
@@ -22,8 +21,8 @@ pub struct IspRow {
 /// Incremental per-ISP aggregate behind Tables 2–3 and §6: one entry per
 /// ISP that fed content, each holding the counts and distinct-value sets
 /// those tables report. Bounded by the identified-publisher population,
-/// never by campaign length, so the streaming path keeps one of these
-/// while records flow through.
+/// never by campaign length, so the fold keeps one of these while
+/// records flow through.
 #[derive(Debug, Clone, Default)]
 pub struct IspAgg {
     per_isp: FxHashMap<IspId, IspAcc>,
@@ -150,21 +149,6 @@ impl IspAgg {
     }
 }
 
-/// Scans a materialized dataset into an [`IspAgg`].
-pub fn isp_agg(dataset: &Dataset, db: &GeoDb) -> IspAgg {
-    let mut agg = IspAgg::default();
-    for rec in &dataset.torrents {
-        agg.observe(rec.publisher_ip, db);
-    }
-    agg
-}
-
-/// Computes Table 2 for a dataset: the top-`k` ISPs by the share of
-/// (IP-attributed) content their publishers fed.
-pub fn top_isps(dataset: &Dataset, db: &GeoDb, k: usize) -> Vec<IspRow> {
-    isp_agg(dataset, db).top_isps(db, k)
-}
-
 /// Table 3's characterisation of one ISP's publisher footprint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IspFootprint {
@@ -176,11 +160,6 @@ pub struct IspFootprint {
     pub prefixes16: usize,
     /// Distinct geographic locations.
     pub geo_locations: usize,
-}
-
-/// Computes Table 3's row for one ISP (by name), e.g. OVH vs Comcast.
-pub fn isp_footprint(dataset: &Dataset, db: &GeoDb, isp_name: &str) -> IspFootprint {
-    isp_agg(dataset, db).footprint(db, isp_name)
 }
 
 /// Fraction of the given top publishers that sit at hosting providers,
@@ -241,7 +220,8 @@ pub fn dominant_kind(p: &PublisherStats, db: &GeoDb) -> Option<IspKind> {
 mod tests {
     use super::*;
     use crate::publishers::PublisherKey;
-    use btpub_crawler::TorrentRecord;
+    use crate::streaming::fold_dataset;
+    use btpub_crawler::{Dataset, TorrentRecord};
     use btpub_geodb::GeoDbBuilder;
     use btpub_sim::content::Category;
     use btpub_sim::{SimTime, TorrentId};
@@ -299,7 +279,8 @@ mod tests {
             rec(2, [10, 0, 0, 2]),
             rec(3, [24, 0, 5, 5]),
         ]);
-        let rows = top_isps(&d, &db(), 10);
+        let database = db();
+        let rows = fold_dataset(&d, &database, 10).finish().isp.top_isps(&database, 10);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].name, "OVH");
         assert_eq!(rows[0].kind, IspKind::HostingProvider);
@@ -317,16 +298,17 @@ mod tests {
             rec(4, [24, 1, 9, 9]),
         ]);
         let database = db();
-        let ovh = isp_footprint(&d, &database, "OVH");
+        let isp = fold_dataset(&d, &database, 10).finish().isp;
+        let ovh = isp.footprint(&database, "OVH");
         assert_eq!(ovh.fed_torrents, 3);
         assert_eq!(ovh.ip_addresses, 2);
         assert_eq!(ovh.prefixes16, 1);
         assert_eq!(ovh.geo_locations, 1);
-        let comcast = isp_footprint(&d, &database, "Comcast");
+        let comcast = isp.footprint(&database, "Comcast");
         assert_eq!(comcast.fed_torrents, 2);
         assert_eq!(comcast.prefixes16, 2);
         assert_eq!(comcast.geo_locations, 2);
-        let nosuch = isp_footprint(&d, &database, "NoSuch");
+        let nosuch = isp.footprint(&database, "NoSuch");
         assert_eq!(nosuch.fed_torrents, 0);
     }
 

@@ -1,11 +1,16 @@
 //! # btpub-analysis
 //!
 //! The paper's full analysis pipeline (§3–§6 and Appendix A), operating on
-//! a crawled [`btpub_crawler::Dataset`] plus the GeoIP database — i.e. on
-//! exactly the information the authors had, never on simulator ground
-//! truth (ground truth is only consulted by validation tests and the
-//! economics *oracle*, which stands in for the external web-statistics
-//! monitors).
+//! crawled [`btpub_crawler::TorrentRecord`]s plus the GeoIP database —
+//! i.e. on exactly the information the authors had, never on simulator
+//! ground truth (ground truth is only consulted by validation tests and
+//! the economics *oracle*, which stands in for the external
+//! web-statistics monitors).
+//!
+//! There is one analysis: [`streaming::StreamAggregator`] folds records
+//! in announcement order, and its `finish` hands the modules below the
+//! aggregates they turn into tables and figures. A materialized dataset
+//! and a streamed campaign go through the same fold.
 //!
 //! Pipeline stages, in the paper's order:
 //!
@@ -23,7 +28,7 @@
 //! | [`longitudinal`] | §5.2, Table 4 | lifetime & publishing rate |
 //! | [`economics`] | §5.3 + §6, Table 5 | website value/income/visits |
 //! | [`stats`] | — | percentiles, box plots, min/med/avg/max |
-//! | [`streaming`] | — | record-at-a-time aggregation of all of the above |
+//! | [`streaming`] | — | the record-at-a-time fold that feeds all of the above |
 
 pub mod classify;
 pub mod content_type;
@@ -40,5 +45,5 @@ pub mod stats;
 pub mod streaming;
 
 pub use fake::{Group, Groups};
-pub use publishers::{aggregate_publishers, PublisherKey, PublisherStats};
+pub use publishers::{PublisherKey, PublisherStats};
 pub use stats::{BoxStats, MinMedAvgMax};

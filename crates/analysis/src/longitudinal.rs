@@ -62,8 +62,7 @@ pub fn longitudinal_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fake::assign_groups;
-    use crate::publishers::aggregate_publishers;
+    use crate::streaming::fold_dataset;
     use btpub_crawler::{run_crawl, CrawlerConfig};
     use btpub_sim::{Ecosystem, EcosystemConfig};
 
@@ -72,9 +71,7 @@ mod tests {
         let eco = Ecosystem::generate(EcosystemConfig::tiny(111));
         let portal = Portal::new(&eco);
         let ds = run_crawl(&eco, &CrawlerConfig::default());
-        let pubs = aggregate_publishers(&ds);
-        let groups = assign_groups(&ds, &pubs, &eco.world.db, 30);
-        let classified = crate::classify::classify_top(&ds, &pubs, &groups);
+        let classified = fold_dataset(&ds, &eco.world.db, 30).finish().classified;
         let rows = longitudinal_rows(&portal, &classified, eco.config.horizon());
         assert!(!rows.is_empty());
         for row in &rows {

@@ -3,11 +3,16 @@
 //! The paper identifies a publisher by *username* where the portal exposes
 //! one (pb09/pb10) and falls back to the initial-seeder *IP address* for
 //! mn08 (§3). This module provides that keying plus the per-publisher
-//! aggregates every later stage consumes.
+//! aggregates every later stage consumes; the
+//! [`crate::streaming::StreamAggregator`] fold builds them record by
+//! record. With usernames every torrent is attributed; in IP mode only
+//! torrents whose initial seeder was identified can be (the mn08
+//! limitation the paper notes). The result is sorted by content count,
+//! descending, so "top-x" publishers are prefixes of it.
 
 use std::net::Ipv4Addr;
 
-use btpub_crawler::{Dataset, TorrentRecord};
+use btpub_crawler::TorrentRecord;
 use btpub_fxhash::{FxHashMap, FxHashSet, Interner, Sym};
 
 /// How a publisher is identified in a dataset.
@@ -48,26 +53,10 @@ impl PublisherStats {
     }
 }
 
-/// Interns every username appearing in the dataset, in record order.
-///
-/// Build once per dataset, then share `&Interner` across analysis
-/// stages — symbol assignment is deterministic (first appearance wins),
-/// so any two passes over the same dataset agree on every `Sym`.
-pub fn intern_usernames(dataset: &Dataset) -> Interner {
-    let mut users = Interner::with_capacity(1024);
-    for rec in &dataset.torrents {
-        if let Some(u) = &rec.username {
-            users.intern(u);
-        }
-    }
-    users
-}
-
 /// Internal aggregation key: a `u32` either way, so the per-record hash
-/// in the fold below never touches string bytes. Deliberately crate-
-/// private — symbols must be resolved back to [`PublisherKey`] strings
-/// before anything ordered or report-facing sees them. The streaming
-/// aggregator keys its per-publisher accumulators on the same symbols.
+/// in the fold never touches string bytes. Deliberately crate-private —
+/// symbols must be resolved back to [`PublisherKey`] strings before
+/// anything ordered or report-facing sees them.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum IKey {
     User(Sym),
@@ -83,9 +72,7 @@ pub(crate) struct Partial {
 }
 
 impl Partial {
-    /// Folds one attributed record into the aggregate. Shared by the
-    /// chunked materialized fold and the streaming ingest so both build
-    /// byte-identical per-publisher state.
+    /// Folds one attributed record into the aggregate.
     pub(crate) fn observe(&mut self, idx: usize, rec: &TorrentRecord) {
         self.torrents.push(idx);
         self.downloads += rec.observed_downloaders() as u64;
@@ -107,10 +94,10 @@ pub(crate) fn attribution(users: Option<&Interner>, rec: &TorrentRecord) -> Opti
     }
 }
 
-/// Report boundary shared by both aggregation paths: resolve symbols back
-/// to strings (one clone per publisher, not per record) and impose the
-/// total order. The final comparator ends in a unique-key comparison, so
-/// the result is independent of the hash map's iteration order.
+/// Report boundary of the fold: resolve symbols back to strings (one
+/// clone per publisher, not per record) and impose the total order. The
+/// final comparator ends in a unique-key comparison, so the result is
+/// independent of the hash map's iteration order.
 pub(crate) fn resolve_and_sort(
     agg: FxHashMap<IKey, Partial>,
     users: Option<&Interner>,
@@ -138,86 +125,12 @@ pub(crate) fn resolve_and_sort(
     out
 }
 
-/// Groups a dataset by publisher.
-///
-/// With usernames available every torrent is attributed; in IP mode only
-/// torrents whose initial seeder was identified can be attributed (the
-/// mn08 limitation the paper notes). The result is sorted by content
-/// count, descending — "top-x" publishers are prefixes of it.
-pub fn aggregate_publishers(dataset: &Dataset) -> Vec<PublisherStats> {
-    let _span = btpub_obs::span!("analysis.aggregate_publishers");
-    // One serial pass interns the usernames; the parallel fold below
-    // then keys on `u32` symbols instead of heap strings. Contiguous
-    // torrent-index chunks aggregate independently and merge left to
-    // right, so per-publisher torrent lists stay in ascending index
-    // order, exactly as a serial pass builds them.
-    let users = dataset.has_usernames.then(|| intern_usernames(dataset));
-    let n = dataset.torrents.len();
-    let chunks = (btpub_par::global().get() * 4).clamp(1, n.max(1));
-    let partials: Vec<FxHashMap<IKey, Partial>> =
-        btpub_par::par_map_indexed("analysis.aggregate", chunks, |c| {
-            let mut agg: FxHashMap<IKey, Partial> = FxHashMap::default();
-            for idx in n * c / chunks..n * (c + 1) / chunks {
-                let rec = &dataset.torrents[idx];
-                let Some(key) = attribution(users.as_ref(), rec) else {
-                    continue;
-                };
-                agg.entry(key).or_default().observe(idx, rec);
-            }
-            agg
-        });
-    let mut agg: FxHashMap<IKey, Partial> = FxHashMap::default();
-    for part in partials {
-        for (key, mut stats) in part {
-            match agg.entry(key) {
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(stats);
-                }
-                std::collections::hash_map::Entry::Occupied(mut o) => {
-                    let merged = o.get_mut();
-                    merged.torrents.append(&mut stats.torrents);
-                    merged.downloads += stats.downloads;
-                    merged.ips.extend(stats.ips);
-                }
-            }
-        }
-    }
-    resolve_and_sort(agg, users.as_ref())
-}
-
-/// The IP→usernames view of §3.3: for every identified initial-seeder IP,
-/// the set of usernames (as interned symbols) it published under. Only
-/// meaningful on datasets with usernames; `users` must come from
-/// [`intern_usernames`] on the same dataset.
-pub fn ip_to_usernames(dataset: &Dataset, users: &Interner) -> FxHashMap<u32, FxHashSet<Sym>> {
-    let mut map: FxHashMap<u32, FxHashSet<Sym>> = FxHashMap::default();
-    for rec in &dataset.torrents {
-        if let (Some(ip), Some(user)) = (rec.publisher_ip, &rec.username) {
-            let sym = users.get(user).expect("username interned");
-            map.entry(u32::from(ip)).or_default().insert(sym);
-        }
-    }
-    map
-}
-
-/// Content counts per identified IP, sorted descending — the "top-100 IP
-/// addresses" ranking of §3.3.
-pub fn top_ips_by_content(dataset: &Dataset) -> Vec<(u32, usize)> {
-    let mut counts: FxHashMap<u32, usize> = FxHashMap::default();
-    for rec in &dataset.torrents {
-        if let Some(ip) = rec.publisher_ip {
-            *counts.entry(u32::from(ip)).or_default() += 1;
-        }
-    }
-    let mut out: Vec<(u32, usize)> = counts.into_iter().collect();
-    out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::streaming::fold_dataset;
     use btpub_crawler::{Dataset, TorrentRecord};
+    use btpub_geodb::{GeoDb, GeoDbBuilder};
     use btpub_sim::content::Category;
     use btpub_sim::{SimTime, TorrentId};
 
@@ -253,6 +166,14 @@ mod tests {
         }
     }
 
+    fn no_geo() -> GeoDb {
+        GeoDbBuilder::new().build().unwrap()
+    }
+
+    fn aggregate(ds: &Dataset) -> Vec<PublisherStats> {
+        fold_dataset(ds, &no_geo(), 10).finish().publishers
+    }
+
     #[test]
     fn username_mode_groups_by_username() {
         let ds = dataset(
@@ -263,7 +184,7 @@ mod tests {
                 rec(2, Some("bob"), None, 3),
             ],
         );
-        let agg = aggregate_publishers(&ds);
+        let agg = aggregate(&ds);
         assert_eq!(agg.len(), 2);
         assert_eq!(agg[0].key, PublisherKey::Username("alice".into()));
         assert_eq!(agg[0].content_count(), 2);
@@ -282,7 +203,7 @@ mod tests {
                 rec(2, None, None, 3),
             ],
         );
-        let agg = aggregate_publishers(&ds);
+        let agg = aggregate(&ds);
         assert_eq!(agg.len(), 1);
         assert_eq!(agg[0].content_count(), 2);
         assert!(matches!(agg[0].key, PublisherKey::Ip(_)));
@@ -298,7 +219,7 @@ mod tests {
                 rec(2, Some("big"), None, 1),
             ],
         );
-        let agg = aggregate_publishers(&ds);
+        let agg = aggregate(&ds);
         assert_eq!(agg[0].key, PublisherKey::Username("big".into()));
     }
 
@@ -312,8 +233,8 @@ mod tests {
                 rec(2, Some("u1"), Some([8, 8, 8, 8]), 0),
             ],
         );
-        let users = intern_usernames(&ds);
-        let map = ip_to_usernames(&ds, &users);
+        let db = no_geo();
+        let map = fold_dataset(&ds, &db, 10).signals.by_ip;
         assert_eq!(map[&u32::from(Ipv4Addr::new(9, 9, 9, 9))].len(), 2);
         assert_eq!(map[&u32::from(Ipv4Addr::new(8, 8, 8, 8))].len(), 1);
     }
@@ -328,7 +249,8 @@ mod tests {
                 rec(2, Some("b"), Some([1, 0, 0, 2]), 0),
             ],
         );
-        let top = top_ips_by_content(&ds);
+        let db = no_geo();
+        let top = fold_dataset(&ds, &db, 10).signals.top_ips();
         assert_eq!(top[0], (u32::from(Ipv4Addr::new(1, 0, 0, 1)), 2));
         assert_eq!(top[1].1, 1);
     }

@@ -15,14 +15,14 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use btpub_crawler::{Dataset, TorrentRecord};
+use btpub_crawler::TorrentRecord;
 use btpub_sim::intervals::IntervalSet;
 use btpub_sim::{SimDuration, SimTime};
 
 use crate::fake::{Group, Groups};
 use crate::popularity::ALL_SAMPLE;
 use crate::publishers::PublisherStats;
-use crate::session::{default_offline_threshold, estimate_sessions};
+use crate::session::estimate_sessions;
 use crate::stats::{BoxStats, QuantileSketch};
 
 /// One publisher's Figure 4 metrics.
@@ -71,13 +71,10 @@ fn typical_gap(rec: &TorrentRecord) -> SimDuration {
 }
 
 /// Incremental Figure 4 accumulator for one publisher (or one fake-IP
-/// entity). Records fold in one at a time, in torrent-index order; the
-/// memory footprint is one [`IntervalSet`] plus three scalars, regardless
-/// of how many records contributed.
-///
-/// [`publisher_seeding_metrics`] folds a materialized dataset through
-/// this same accumulator, so both drivers run identical float arithmetic
-/// in identical order.
+/// entity). Records fold in one at a time, in torrent-index order, as
+/// sessions pre-estimated by [`torrent_sessions`]; the memory footprint is
+/// one [`IntervalSet`] plus three scalars, regardless of how many records
+/// contributed.
 #[derive(Debug, Clone, Default)]
 pub struct SeedAcc {
     union: IntervalSet,
@@ -87,19 +84,9 @@ pub struct SeedAcc {
 }
 
 impl SeedAcc {
-    /// Folds one record in. Torrents without an identified publisher IP
-    /// or without publisher sightings contribute nothing, as in the
-    /// materialized pass.
-    pub fn observe(&mut self, rec: &TorrentRecord, threshold: SimDuration) {
-        if rec.publisher_ip.is_none() {
-            return;
-        }
-        let sessions = torrent_sessions(rec, threshold);
-        self.observe_sessions(&sessions);
-    }
-
-    /// Folds pre-estimated sessions in (lets an ingest loop estimate the
-    /// sessions once and feed several accumulators).
+    /// Folds one torrent's estimated sessions in (the fold estimates them
+    /// once per record and feeds several accumulators). Torrents without
+    /// publisher sightings contribute nothing.
     pub fn observe_sessions(&mut self, sessions: &IntervalSet) {
         if sessions.is_empty() {
             return;
@@ -168,52 +155,16 @@ impl SeedAcc {
     }
 }
 
-/// Computes the Figure 4 metrics for one publisher, or `None` when no
-/// torrent of theirs has an identified IP with sightings.
-pub fn publisher_seeding_metrics(
-    dataset: &Dataset,
-    p: &PublisherStats,
-    threshold: SimDuration,
-) -> Option<SeedingMetrics> {
-    let mut acc = SeedAcc::default();
-    for &idx in &p.torrents {
-        acc.observe(&dataset.torrents[idx], threshold);
-    }
-    acc.metrics()
-}
-
-/// Figure 4's three boxes for one group. The `All` group is a random
-/// 400-publisher sample, as in the paper.
+/// Figure 4's three boxes for one group, from each member's metrics as
+/// the fold accumulated them (`metrics_of`). The `All` group is a random
+/// 400-publisher sample, as in the paper. The boxes are
+/// [`QuantileSketch`]-backed, exact below the sketch budget.
 pub fn group_seeding_boxes(
-    dataset: &Dataset,
     publishers: &[PublisherStats],
     groups: &Groups,
     group: Group,
     sample_seed: u64,
-) -> Option<(BoxStats, BoxStats, BoxStats)> {
-    // Per-publisher session estimation is independent work over read-only
-    // records; fan it out (results come back in member order).
-    group_seeding_boxes_with(publishers, groups, group, sample_seed, |members| {
-        btpub_par::par_chunk_map("analysis.seeding", members, |p| {
-            publisher_seeding_metrics(dataset, p, default_offline_threshold())
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    })
-}
-
-/// Core of [`group_seeding_boxes`], parameterized over where the
-/// per-publisher metrics come from: the materialized path estimates them
-/// from the full dataset, the streaming path looks up accumulators built
-/// at ingest. Both feed the same [`QuantileSketch`]-backed boxes, exact
-/// below the sketch budget.
-pub fn group_seeding_boxes_with(
-    publishers: &[PublisherStats],
-    groups: &Groups,
-    group: Group,
-    sample_seed: u64,
-    metrics_of: impl FnOnce(&[&PublisherStats]) -> Vec<SeedingMetrics>,
+    metrics_of: impl Fn(&PublisherStats) -> Option<SeedingMetrics>,
 ) -> Option<(BoxStats, BoxStats, BoxStats)> {
     let mut members: Vec<&PublisherStats> = publishers
         .iter()
@@ -224,7 +175,7 @@ pub fn group_seeding_boxes_with(
         members.shuffle(&mut rng);
         members.truncate(ALL_SAMPLE);
     }
-    let metrics = metrics_of(&members);
+    let metrics: Vec<SeedingMetrics> = members.into_iter().filter_map(metrics_of).collect();
     if metrics.is_empty() {
         return None;
     }
@@ -247,7 +198,10 @@ pub fn group_seeding_boxes_with(
 mod tests {
     use super::*;
     use crate::publishers::PublisherKey;
-    use btpub_crawler::Sighting;
+    use crate::session::default_offline_threshold;
+    use crate::streaming::{fold_dataset, DEFAULT_THRESHOLD_IDX};
+    use btpub_crawler::{Dataset, Sighting};
+    use btpub_geodb::GeoDbBuilder;
     use btpub_sim::content::Category;
     use btpub_sim::TorrentId;
 
@@ -298,6 +252,15 @@ mod tests {
         }
     }
 
+    /// Publisher `u`'s metrics at the default 4 h threshold, as the fold
+    /// accumulates them.
+    fn metrics_of_u(d: &Dataset) -> Option<SeedingMetrics> {
+        let db = GeoDbBuilder::new().build().unwrap();
+        fold_dataset(d, &db, 10)
+            .finish()
+            .seeding_of(&PublisherKey::Username("u".into()), DEFAULT_THRESHOLD_IDX)
+    }
+
     #[test]
     fn torrent_sessions_from_sightings() {
         // Away from t=0 so the left pad is not clipped by the epoch.
@@ -323,13 +286,7 @@ mod tests {
             rec_with_sightings(0, &seen, 0.25),
             rec_with_sightings(1, &seen, 0.25),
         ]);
-        let p = PublisherStats {
-            key: PublisherKey::Username("u".into()),
-            torrents: vec![0, 1],
-            downloads: 0,
-            ips: Default::default(),
-        };
-        let m = publisher_seeding_metrics(&d, &p, default_offline_threshold()).unwrap();
+        let m = metrics_of_u(&d).unwrap();
         assert_eq!(m.torrents_measured, 2);
         assert!((m.avg_parallel - 2.0).abs() < 0.05, "parallel {}", m.avg_parallel);
         // Aggregated = union ≈ 10 h (not 20).
@@ -345,13 +302,7 @@ mod tests {
             rec_with_sightings(0, &early, 0.25),
             rec_with_sightings(1, &late, 0.25),
         ]);
-        let p = PublisherStats {
-            key: PublisherKey::Username("u".into()),
-            torrents: vec![0, 1],
-            downloads: 0,
-            ips: Default::default(),
-        };
-        let m = publisher_seeding_metrics(&d, &p, default_offline_threshold()).unwrap();
+        let m = metrics_of_u(&d).unwrap();
         assert!((m.avg_parallel - 1.0).abs() < 0.05);
         assert!((m.aggregated_session_h - 4.5).abs() < 0.3);
     }
@@ -361,12 +312,6 @@ mod tests {
         let mut r = rec_with_sightings(0, &[0.0, 0.25], 0.25);
         r.publisher_ip = None;
         let d = ds(vec![r]);
-        let p = PublisherStats {
-            key: PublisherKey::Username("u".into()),
-            torrents: vec![0],
-            downloads: 0,
-            ips: Default::default(),
-        };
-        assert!(publisher_seeding_metrics(&d, &p, default_offline_threshold()).is_none());
+        assert!(metrics_of_u(&d).is_none());
     }
 }

@@ -15,7 +15,7 @@ pub struct CdfPoint {
 /// x % of publishers, evaluated at each publisher boundary.
 ///
 /// Input must already be sorted by content count descending, which
-/// [`crate::publishers::aggregate_publishers`] guarantees.
+/// [`crate::streaming::StreamAnalyses::publishers`] guarantees.
 pub fn contribution_cdf(publishers: &[PublisherStats]) -> Vec<CdfPoint> {
     let total: usize = publishers.iter().map(PublisherStats::content_count).sum();
     if total == 0 || publishers.is_empty() {

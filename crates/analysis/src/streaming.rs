@@ -1,23 +1,24 @@
-//! Streaming, memory-bounded analysis: every §3–§6 aggregate computed
-//! record by record, without ever materializing the campaign dataset.
+//! The analysis: every §3–§6 aggregate computed record by record, in
+//! memory bounded by the publisher population rather than the campaign.
 //!
 //! The pipeline is split in two: [`RecordDigest::reduce`] is a pure,
 //! order-free function of one record that consumes its heavy payload
 //! (sightings become per-threshold seeding sessions), and
-//! [`StreamAggregator::fold`] consumes digests in announcement order —
-//! exactly the order a materialized `Dataset::torrents` holds records —
-//! folding each into the same accumulator types the materialized
-//! pipeline uses internally
-//! ([`Partial`], [`ClassAcc`], [`SeedAcc`], [`GroupSignals`],
-//! [`IspAgg`]). The heavy per-record payloads (sightings, observed
-//! downloader IPs, title/filename/textbox strings) are consumed at
-//! ingest and dropped; what survives is bounded by the publisher and ISP
-//! populations plus a one-byte-per-torrent category column.
+//! [`StreamAggregator::fold`] consumes digests in announcement order,
+//! folding each into the per-analysis accumulators ([`Partial`],
+//! [`ClassAcc`], [`SeedAcc`], [`GroupSignals`], [`IspAgg`]). The heavy
+//! per-record payloads (sightings, observed downloader IPs,
+//! title/filename/textbox strings) are consumed at fold time and
+//! dropped; what survives is bounded by the publisher and ISP populations
+//! plus a one-byte-per-torrent category column.
 //!
-//! Because both drivers share the accumulator code and fold records in
-//! the same order, [`StreamAggregator::finish`] yields publishers,
-//! groups and classifications that are **byte-identical** to the
-//! materialized pipeline's — float summation order included.
+//! This fold is the only analysis. A streamed campaign feeds it digests
+//! as records leave the crawl; a materialized `Dataset` is folded in
+//! index order through [`StreamAggregator::fold_record`], which borrows
+//! each record instead of reducing an owned one. Either way the records
+//! arrive in announcement order — the order a `Dataset::torrents` holds
+//! them — so [`StreamAggregator::finish`] yields the same bytes, float
+//! summation order included.
 //!
 //! The one campaign-sized set — distinct downloader IPs across all
 //! swarms (Table 1's "#IP addresses") — goes through
@@ -36,14 +37,12 @@ use btpub_stream::checkpoint::{CheckpointError, Dec, Enc};
 use btpub_stream::spill::DistinctU32;
 
 use crate::classify::{ClassAcc, Classified};
-use crate::fake::{
-    assign_groups_from, fake_entities_from, mapping_stats_from, GroupSignals, Groups, MappingStats,
-};
+use crate::fake::{assign_groups, fake_entities, mapping_stats, GroupSignals, Groups, MappingStats};
 use crate::isp::IspAgg;
 use crate::publishers::{attribution, resolve_and_sort, IKey, Partial, PublisherKey, PublisherStats};
 use crate::seeding::{torrent_sessions, SeedAcc, SeedingMetrics};
 
-/// Offline thresholds tracked at ingest: Appendix A's 2 h / 4 h / 6 h.
+/// Offline thresholds tracked by the fold: Appendix A's 2 h / 4 h / 6 h.
 /// Index [`DEFAULT_THRESHOLD_IDX`] is the pipeline default (4 h).
 pub const SEEDING_THRESHOLDS_H: [f64; 3] = [2.0, 4.0, 6.0];
 
@@ -59,7 +58,7 @@ pub struct StreamConfig {
     pub top_k: usize,
 }
 
-/// Per-publisher accumulators, keyed like the materialized fold.
+/// Per-publisher accumulators, keyed by [`IKey`].
 #[derive(Default)]
 struct PubAcc {
     partial: Partial,
@@ -96,13 +95,18 @@ pub struct RecordDigest {
 impl RecordDigest {
     /// Reduces one record. Pure and order-free by construction.
     pub fn reduce(mut rec: TorrentRecord) -> RecordDigest {
-        let sessions = rec.publisher_ip.is_some().then(|| {
-            SEEDING_THRESHOLDS_H
-                .map(|hours| torrent_sessions(&rec, SimDuration::from_hours(hours)))
-        });
+        let sessions = sessions_of(&rec);
         rec.sightings = Vec::new();
         RecordDigest { rec, sessions }
     }
+}
+
+/// A record's seeding sessions at each [`SEEDING_THRESHOLDS_H`]
+/// threshold, estimated only when its publisher IP was identified.
+fn sessions_of(rec: &TorrentRecord) -> Option<[IntervalSet; 3]> {
+    rec.publisher_ip.is_some().then(|| {
+        SEEDING_THRESHOLDS_H.map(|hours| torrent_sessions(rec, SimDuration::from_hours(hours)))
+    })
 }
 
 /// Total order on aggregation keys for byte-stable checkpoint output.
@@ -154,7 +158,7 @@ pub struct StreamAggregator<'d> {
     users: Interner,
     pubs: FxHashMap<IKey, PubAcc>,
     per_ip: FxHashMap<u32, IpAcc>,
-    signals: GroupSignals,
+    pub(crate) signals: GroupSignals,
     isp: IspAgg,
     categories: Vec<Category>,
     distinct: DistinctU32,
@@ -185,17 +189,9 @@ impl<'d> StreamAggregator<'d> {
         }
     }
 
-    /// Number of records ingested so far.
+    /// Number of records folded so far.
     pub fn records_ingested(&self) -> usize {
         self.next_idx
-    }
-
-    /// Folds the next record in. Records must arrive in announcement
-    /// order (convenience wrapper over [`RecordDigest::reduce`] +
-    /// [`Self::fold`]; the implicit torrent index is the arrival
-    /// position).
-    pub fn ingest(&mut self, rec: &TorrentRecord) {
-        self.fold(&RecordDigest::reduce(rec.clone()));
     }
 
     /// Folds the next digest in. Digests must be folded in announcement
@@ -204,7 +200,20 @@ impl<'d> StreamAggregator<'d> {
     /// order-free, a consumer receiving records out of order only ever
     /// buffers digests, never full records.
     pub fn fold(&mut self, digest: &RecordDigest) {
-        let rec = &digest.rec;
+        self.fold_with(&digest.rec, digest.sessions.as_ref());
+    }
+
+    /// Folds the next record of a materialized dataset in, borrowed: its
+    /// sessions are estimated here, exactly as [`RecordDigest::reduce`]
+    /// would, without cloning the record. Same ordering contract as
+    /// [`Self::fold`]; the torrent index is the arrival position.
+    pub fn fold_record(&mut self, rec: &TorrentRecord) {
+        self.fold_with(rec, sessions_of(rec).as_ref());
+    }
+
+    /// The fold itself. `sessions` is present iff the record has an
+    /// identified publisher IP.
+    fn fold_with(&mut self, rec: &TorrentRecord, sessions: Option<&[IntervalSet; 3]>) {
         let idx = self.next_idx;
         self.next_idx += 1;
         self.categories.push(rec.category);
@@ -216,8 +225,8 @@ impl<'d> StreamAggregator<'d> {
         }
         self.total_downloads += rec.observed_downloaders() as u64;
         self.distinct.insert_all(&rec.observed_ips);
-        // Intern in record order — symbol assignment matches
-        // `intern_usernames` over the materialized dataset.
+        // Intern in record order: first appearance wins, so any two folds
+        // of the same records agree on every symbol.
         if let Some(u) = &rec.username {
             self.users.intern(u);
         }
@@ -231,16 +240,13 @@ impl<'d> StreamAggregator<'d> {
             acc.partial.observe(idx, rec);
             acc.class.observe(rec);
         }
-        // Seeding sessions: estimated once per threshold at reduce time,
-        // fed to both the publisher-keyed and the IP-keyed accumulators.
+        // Seeding sessions: estimated once per threshold per record, fed
+        // to both the publisher-keyed and the IP-keyed accumulators.
         if let Some(ip) = rec.publisher_ip {
             let ip_acc = self.per_ip.entry(u32::from(ip)).or_default();
             ip_acc.torrents.push(idx);
             ip_acc.downloads += rec.observed_downloaders() as u64;
-            let sessions3 = digest
-                .sessions
-                .as_ref()
-                .expect("sessions reduced for every identified record");
+            let sessions3 = sessions.expect("sessions estimated for every identified record");
             for (i, sessions) in sessions3.iter().enumerate() {
                 if i == DEFAULT_THRESHOLD_IDX {
                     ip_acc.seeding.observe_sessions(sessions);
@@ -420,14 +426,14 @@ impl<'d> StreamAggregator<'d> {
         }
         let users_opt = cfg.has_usernames.then_some(&users);
         let publishers = resolve_and_sort(partials, users_opt);
-        let groups = assign_groups_from(&signals, &publishers, db, cfg.top_k, users_opt);
+        let groups = assign_groups(&signals, &publishers, db, cfg.top_k, users_opt);
         let ikey_of = |key: &PublisherKey| -> Option<IKey> {
             match key {
                 PublisherKey::Username(u) => users.get(u).map(IKey::User),
                 PublisherKey::Ip(ip) => Some(IKey::Ip(*ip)),
             }
         };
-        // Classification, in Top order — same traversal as `classify_top`.
+        // Classification, in Top order.
         let classified: Vec<Classified> = groups
             .top
             .iter()
@@ -446,8 +452,8 @@ impl<'d> StreamAggregator<'d> {
             let metrics = [accs[0].metrics(), accs[1].metrics(), accs[2].metrics()];
             seeding.insert(p.key.clone(), metrics);
         }
-        // IP-keyed fake entities (ascending-IP BTreeMap keeps the sort's
-        // tie order identical to `fake_ip_stats`).
+        // IP-keyed fake entities (the ascending-IP BTreeMap fixes the
+        // sort's tie order).
         let mut fake_per_ip: BTreeMap<u32, (Vec<usize>, u64)> = BTreeMap::new();
         let mut fake_seeding: FxHashMap<u32, Option<SeedingMetrics>> = FxHashMap::default();
         for (ip, acc) in per_ip {
@@ -457,16 +463,8 @@ impl<'d> StreamAggregator<'d> {
             fake_seeding.insert(ip, acc.seeding.metrics());
             fake_per_ip.insert(ip, (acc.torrents, acc.downloads));
         }
-        let fake_entities = fake_entities_from(fake_per_ip);
-        let mapping = mapping_stats_from(
-            &publishers,
-            db,
-            cfg.top_k,
-            &users,
-            &signals.top_ips(),
-            &signals.by_ip,
-            &signals.ip_torrents,
-        );
+        let fake_entities = fake_entities(fake_per_ip);
+        let mapping = mapping_stats(&publishers, db, cfg.top_k, &users, &signals);
         let totals = StreamTotals {
             torrents_total: next_idx,
             torrents_username,
@@ -489,10 +487,10 @@ impl<'d> StreamAggregator<'d> {
     }
 }
 
-/// Everything the report needs, computed without a materialized dataset.
+/// Everything the report needs, as the fold finished it.
 pub struct StreamAnalyses {
-    /// Per-publisher aggregation, sorted exactly like
-    /// [`crate::publishers::aggregate_publishers`].
+    /// Per-publisher aggregation, sorted by content count descending
+    /// (then downloads descending, then key).
     pub publishers: Vec<PublisherStats>,
     /// §3.3 group assignment.
     pub groups: Groups,
@@ -529,14 +527,27 @@ impl StreamAnalyses {
     }
 }
 
+/// Folds a materialized dataset in index order — exactly what
+/// `Study::analyze` does — for the per-analysis unit tests of this crate.
+#[cfg(test)]
+pub(crate) fn fold_dataset<'d>(
+    ds: &btpub_crawler::Dataset,
+    db: &'d GeoDb,
+    top_k: usize,
+) -> StreamAggregator<'d> {
+    let cfg = StreamConfig { has_usernames: ds.has_usernames, top_k };
+    let mut agg = StreamAggregator::new(cfg, db, DistinctU32::in_memory());
+    for rec in &ds.torrents {
+        agg.fold_record(rec);
+    }
+    agg
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::classify_top;
-    use crate::fake::{assign_groups, fake_ip_stats};
-    use crate::publishers::aggregate_publishers;
-    use crate::seeding::publisher_seeding_metrics;
     use crate::session::default_offline_threshold;
+    use btpub_sim::profile::BusinessClass;
     use btpub_crawler::{Dataset, Sighting};
     use btpub_geodb::{GeoDbBuilder, IspKind};
     use btpub_sim::{SimTime, TorrentId};
@@ -614,63 +625,100 @@ mod tests {
         }
     }
 
-    fn stream(ds: &Dataset, db: &GeoDb, top_k: usize) -> StreamAnalyses {
-        let mut agg = StreamAggregator::new(
-            StreamConfig {
-                has_usernames: ds.has_usernames,
-                top_k,
-            },
-            db,
-            DistinctU32::in_memory(),
-        );
-        for rec in &ds.torrents {
-            agg.ingest(rec);
-        }
-        agg.finish()
+    fn user(name: &str) -> PublisherKey {
+        PublisherKey::Username(name.into())
     }
 
+    fn ip(octets: [u8; 4]) -> u32 {
+        u32::from(Ipv4Addr::from(octets))
+    }
+
+    /// What the fold must recover from the hand-built dataset: publisher
+    /// ranking, both fake signals, the compromised top-k accounts, the
+    /// IP-keyed fake entity, classification, §3.3 mapping, the ISP tables,
+    /// the Table 1 totals and the per-record seeding sessions.
     #[test]
-    fn streaming_matches_materialized_pipeline() {
+    fn fold_recovers_groups_entities_and_totals() {
         let ds = dataset();
         let database = db();
-        let top_k = 5;
-        let s = stream(&ds, &database, top_k);
-        let publishers = aggregate_publishers(&ds);
-        assert_eq!(s.publishers, publishers);
-        let groups = assign_groups(&ds, &publishers, &database, top_k);
-        assert_eq!(s.groups.fake_usernames, groups.fake_usernames);
-        assert_eq!(s.groups.fake_ips, groups.fake_ips);
-        assert_eq!(s.groups.top, groups.top);
-        assert_eq!(s.groups.top_hp, groups.top_hp);
-        assert_eq!(s.groups.top_ci, groups.top_ci);
-        assert_eq!(s.groups.compromised_in_top_k, groups.compromised_in_top_k);
-        assert_eq!(s.classified, classify_top(&ds, &publishers, &groups));
-        assert_eq!(s.fake_entities, fake_ip_stats(&ds, &groups));
+        let s = fold_dataset(&ds, &database, 5).finish();
+        let keys: Vec<PublisherKey> = s.publishers.iter().map(|p| p.key.clone()).collect();
+        let top5 = ["bighost", "cable", "mill-a", "mill-b", "mill-c"].map(user);
+        assert_eq!(keys[..5], top5);
+        assert_eq!(s.publishers.len(), 12);
+        assert_eq!(s.publishers[0].torrents, (0..6).collect::<Vec<_>>());
+        assert_eq!(s.publishers[0].downloads, 18);
+        // Takedown taint plus the three-account mill on one server IP.
+        let fakes: std::collections::BTreeSet<&str> =
+            s.groups.fake_usernames.iter().map(String::as_str).collect();
+        assert_eq!(fakes, ["mill-a", "mill-b", "mill-c"].into());
+        assert_eq!(s.groups.fake_ips, [ip([10, 0, 9, 9])].into_iter().collect());
+        assert_eq!(s.groups.compromised_in_top_k, 3);
+        assert_eq!(s.groups.top, [user("bighost"), user("cable")]);
+        assert_eq!(s.groups.top_hp, [user("bighost")].into_iter().collect());
+        assert_eq!(s.groups.top_ci, [user("cable")].into_iter().collect());
+        // One classification per Top publisher, in Top order.
+        let classes: Vec<_> = s.classified.iter().map(|c| (c.key.clone(), c.class)).collect();
         assert_eq!(
-            s.mapping,
-            crate::fake::mapping_stats(&ds, &publishers, &database, top_k)
+            classes,
+            [(user("bighost"), BusinessClass::BtPortal), (user("cable"), BusinessClass::BtPortal)]
         );
-        assert_eq!(
-            s.isp.top_isps(&database, 10),
-            crate::isp::top_isps(&ds, &database, 10)
-        );
-        assert_eq!(
-            s.isp.footprint(&database, "HostCo"),
-            crate::isp::isp_footprint(&ds, &database, "HostCo")
-        );
+        // The mill is one IP-keyed entity.
+        assert_eq!(s.fake_entities.len(), 1);
+        assert_eq!(s.fake_entities[0].key, PublisherKey::Ip(ip([10, 0, 9, 9])));
+        assert_eq!(s.fake_entities[0].torrents, [10, 11, 12]);
+        assert_eq!(s.fake_entities[0].downloads, 9);
+        // §3.3: two of the three top IPs carry one username; every top
+        // username publishes from one IP.
+        assert!((s.mapping.top_ips_unique_username - 2.0 / 3.0).abs() < 1e-9);
+        assert!((s.mapping.single_ip - 1.0).abs() < 1e-9);
+        // Tables 2-3.
+        let t2: Vec<(String, f64)> =
+            s.isp.top_isps(&database, 10).into_iter().map(|r| (r.name, r.pct_content)).collect();
+        assert_eq!(t2.len(), 2);
+        assert_eq!(t2[0].0, "HostCo");
+        assert!((t2[0].1 - 100.0 * 9.0 / 13.0).abs() < 1e-9);
+        let host = s.isp.footprint(&database, "HostCo");
+        assert_eq!((host.fed_torrents, host.ip_addresses, host.prefixes16), (9, 2, 1));
+        // Table 1.
         assert_eq!(s.totals.torrents_total, ds.torrent_count());
         assert_eq!(s.totals.torrents_username, ds.username_identified_count());
         assert_eq!(s.totals.torrents_ip, ds.ip_identified_count());
         assert_eq!(s.totals.distinct_ips, ds.distinct_ip_count());
-        // Seeding metrics match the materialized estimator bit-for-bit.
-        for p in &publishers {
-            let expect = publisher_seeding_metrics(&ds, p, default_offline_threshold());
-            assert_eq!(s.seeding_of(&p.key, DEFAULT_THRESHOLD_IDX), expect, "{}", p.key);
+        // Seeding metrics are the per-record session estimates, folded
+        // per publisher and per fake entity.
+        let expect = |torrents: &[usize]| {
+            let mut acc = SeedAcc::default();
+            for &t in torrents {
+                let rec = &ds.torrents[t];
+                acc.observe_sessions(&torrent_sessions(rec, default_offline_threshold()));
+            }
+            acc.metrics()
+        };
+        assert!(s.seeding_of(&user("bighost"), DEFAULT_THRESHOLD_IDX).is_some());
+        for p in &s.publishers {
+            let got = s.seeding_of(&p.key, DEFAULT_THRESHOLD_IDX);
+            assert_eq!(got, expect(&p.torrents), "{}", p.key);
         }
         for entity in &s.fake_entities {
-            let expect = publisher_seeding_metrics(&ds, entity, default_offline_threshold());
-            assert_eq!(s.fake_seeding_of(&entity.key), expect);
+            assert_eq!(s.fake_seeding_of(&entity.key), expect(&entity.torrents));
         }
+    }
+
+    /// A borrowed fold and a digest fold of the same records are one fold.
+    #[test]
+    fn fold_record_equals_folding_reduced_digests() {
+        let ds = dataset();
+        let database = db();
+        let cfg = StreamConfig { has_usernames: true, top_k: 5 };
+        let mut digests = StreamAggregator::new(cfg, &database, DistinctU32::in_memory());
+        for rec in &ds.torrents {
+            digests.fold(&RecordDigest::reduce(rec.clone()));
+        }
+        let (mut a, mut b) = (Enc::new(), Enc::new());
+        fold_dataset(&ds, &database, 5).encode_state(&mut a);
+        digests.encode_state(&mut b);
+        assert_eq!(a.into_bytes(), b.into_bytes());
     }
 
     #[test]
@@ -680,7 +728,7 @@ mod tests {
         let cfg = StreamConfig { has_usernames: true, top_k: 5 };
         let mut a = StreamAggregator::new(cfg.clone(), &database, DistinctU32::in_memory());
         for rec in &ds.torrents[..10] {
-            a.ingest(rec);
+            a.fold_record(rec);
         }
         let mut enc = Enc::new();
         a.encode_state(&mut enc);
@@ -690,8 +738,8 @@ mod tests {
         // Folding the rest into the original and the restored copy must
         // leave them in byte-identical states…
         for rec in &ds.torrents[10..] {
-            a.ingest(rec);
-            b.ingest(rec);
+            a.fold_record(rec);
+            b.fold_record(rec);
         }
         let (mut ea, mut eb) = (Enc::new(), Enc::new());
         a.encode_state(&mut ea);
@@ -712,33 +760,30 @@ mod tests {
         // checkpoint bytes — map iteration order must not leak.
         let ds = dataset();
         let database = db();
-        let cfg = StreamConfig { has_usernames: true, top_k: 5 };
         let encode = || {
-            let mut agg =
-                StreamAggregator::new(cfg.clone(), &database, DistinctU32::in_memory());
-            for rec in &ds.torrents {
-                agg.ingest(rec);
-            }
             let mut enc = Enc::new();
-            agg.encode_state(&mut enc);
+            fold_dataset(&ds, &database, 5).encode_state(&mut enc);
             enc.into_bytes()
         };
         assert_eq!(encode(), encode());
     }
 
     #[test]
-    fn streaming_matches_materialized_in_ip_mode() {
+    fn fold_in_ip_mode_keys_publishers_by_ip() {
         let mut ds = dataset();
         ds.has_usernames = false;
         for t in &mut ds.torrents {
             t.username = None;
         }
         let database = db();
-        let s = stream(&ds, &database, 5);
-        let publishers = aggregate_publishers(&ds);
-        assert_eq!(s.publishers, publishers);
-        let groups = assign_groups(&ds, &publishers, &database, 5);
-        assert_eq!(s.groups.top, groups.top);
-        assert_eq!(s.classified, classify_top(&ds, &publishers, &groups));
+        let s = fold_dataset(&ds, &database, 5).finish();
+        let by_ip = |o| PublisherKey::Ip(ip(o));
+        let keys: Vec<PublisherKey> = s.publishers.iter().map(|p| p.key.clone()).collect();
+        assert_eq!(keys, [by_ip([10, 0, 0, 1]), by_ip([24, 0, 0, 9]), by_ip([10, 0, 9, 9])]);
+        // No username signal: the top-k by IP is the Top group.
+        assert_eq!(s.groups.top, keys);
+        assert!(s.groups.fake_usernames.is_empty());
+        assert_eq!(s.classified.len(), 3);
+        assert_eq!(s.totals.torrents_username, 0);
     }
 }

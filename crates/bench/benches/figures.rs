@@ -3,9 +3,11 @@
 //! * `f1_skewness` — the contribution CDF over all publishers.
 //! * `f2_content_types` — category distributions per group.
 //! * `f3_popularity` — per-group popularity boxes.
-//! * `f4_seeding` — session estimation + the three seeding boxes (the
-//!   computational core of §4.3, which the authors could only run on a
-//!   400-publisher sample).
+//! * `f4_seeding` — the three seeding boxes over the per-publisher
+//!   metrics the analysis fold accumulated (session estimation itself
+//!   runs inside the fold; `ablation_threshold` times that).
+//!
+//! Every group reads the aggregates of one `Study::analyze` fold.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -15,24 +17,24 @@ use btpub_analysis::fake::Group;
 use btpub_analysis::popularity::popularity_box;
 use btpub_analysis::seeding::group_seeding_boxes;
 use btpub_analysis::skewness::contribution_cdf;
+use btpub_analysis::streaming::DEFAULT_THRESHOLD_IDX;
 use btpub_bench::tiny_study;
 
 fn f1_skewness(c: &mut Criterion) {
-    let analyses = tiny_study().analyze();
+    let analyses = tiny_study().analyze().analyses;
     c.bench_function("f1_skewness/cdf", |b| {
         b.iter(|| black_box(contribution_cdf(&analyses.publishers)))
     });
 }
 
 fn f2_content_types(c: &mut Criterion) {
-    let study = tiny_study();
-    let analyses = study.analyze();
+    let analyses = tiny_study().analyze().analyses;
     let mut g = c.benchmark_group("f2_content_types");
     for group in Group::ALL {
         g.bench_function(group.label(), |b| {
             b.iter(|| {
                 black_box(category_distribution(
-                    &study.dataset,
+                    &analyses.categories,
                     &analyses.publishers,
                     &analyses.groups,
                     group,
@@ -44,8 +46,7 @@ fn f2_content_types(c: &mut Criterion) {
 }
 
 fn f3_popularity(c: &mut Criterion) {
-    let study = tiny_study();
-    let analyses = study.analyze();
+    let analyses = tiny_study().analyze().analyses;
     let mut g = c.benchmark_group("f3_popularity");
     for group in [Group::All, Group::Top, Group::Fake] {
         g.bench_function(group.label(), |b| {
@@ -63,23 +64,23 @@ fn f3_popularity(c: &mut Criterion) {
 }
 
 fn f4_seeding(c: &mut Criterion) {
-    let study = tiny_study();
-    let analyses = study.analyze();
+    let a = tiny_study().analyze().analyses;
     let mut g = c.benchmark_group("f4_seeding");
     g.sample_size(20);
-    for group in [Group::Top, Group::Fake] {
-        g.bench_function(group.label(), |b| {
-            b.iter(|| {
-                black_box(group_seeding_boxes(
-                    &study.dataset,
-                    &analyses.publishers,
-                    &analyses.groups,
-                    group,
-                    7,
-                ))
-            })
-        });
-    }
+    g.bench_function("Top", |b| {
+        b.iter(|| {
+            black_box(group_seeding_boxes(&a.publishers, &a.groups, Group::Top, 7, |p| {
+                a.seeding_of(&p.key, DEFAULT_THRESHOLD_IDX)
+            }))
+        })
+    });
+    g.bench_function("Fake", |b| {
+        b.iter(|| {
+            black_box(group_seeding_boxes(&a.fake_entities, &a.groups, Group::Fake, 7, |p| {
+                a.fake_seeding_of(&p.key)
+            }))
+        })
+    });
     g.finish();
 }
 

@@ -3,8 +3,9 @@
 //! * `t1_dataset` — building a Table 1 row: ecosystem generation + crawl
 //!   (the full measurement pipeline) at micro scale, plus dataset
 //!   counters at tiny scale.
-//! * `t2_isp_ranking` — Table 2's ISP ranking over the crawled dataset.
-//! * `t3_footprint` — Table 3's per-ISP footprint extraction.
+//! * `t2_isp_ranking` — Table 2's ISP ranking over the folded ISP
+//!   aggregate.
+//! * `t3_footprint` — Table 3's per-ISP footprint extraction from it.
 //! * `t4_longitudinal` — Table 4 from portal user pages.
 //! * `t5_economics` — Table 5 via the six-monitor oracle.
 
@@ -12,8 +13,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use btpub::{Scale, Scenario, Study};
-use btpub_analysis::isp::{isp_footprint, top_isps};
+use btpub_analysis::economics::{economics_rows, site_reports};
+use btpub_analysis::longitudinal::longitudinal_rows;
 use btpub_bench::tiny_study;
+use btpub_portal::Portal;
 
 fn t1_dataset(c: &mut Criterion) {
     let mut g = c.benchmark_group("t1_dataset");
@@ -46,17 +49,19 @@ fn t1_dataset(c: &mut Criterion) {
 
 fn t2_isp_ranking(c: &mut Criterion) {
     let study = tiny_study();
+    let isp = study.analyze().analyses.isp;
     c.bench_function("t2_isp_ranking/top10", |b| {
-        b.iter(|| black_box(top_isps(&study.dataset, &study.eco.world.db, 10)))
+        b.iter(|| black_box(isp.top_isps(&study.eco.world.db, 10)))
     });
 }
 
 fn t3_footprint(c: &mut Criterion) {
     let study = tiny_study();
+    let isp = study.analyze().analyses.isp;
     let mut g = c.benchmark_group("t3_footprint");
-    for isp in ["OVH", "Comcast"] {
-        g.bench_function(isp, |b| {
-            b.iter(|| black_box(isp_footprint(&study.dataset, &study.eco.world.db, isp)))
+    for name in ["OVH", "Comcast"] {
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(isp.footprint(&study.eco.world.db, name)))
         });
     }
     g.finish();
@@ -64,17 +69,27 @@ fn t3_footprint(c: &mut Criterion) {
 
 fn t4_longitudinal(c: &mut Criterion) {
     let study = tiny_study();
-    let analyses = study.analyze();
+    let classified = study.analyze().analyses.classified;
+    let portal = Portal::new(&study.eco);
     c.bench_function("t4_longitudinal/rows", |b| {
-        b.iter(|| black_box(analyses.experiments().t4_longitudinal()))
+        b.iter(|| {
+            black_box(longitudinal_rows(
+                &portal,
+                &classified,
+                study.eco.config.horizon(),
+            ))
+        })
     });
 }
 
 fn t5_economics(c: &mut Criterion) {
     let study = tiny_study();
-    let analyses = study.analyze();
+    let classified = study.analyze().analyses.classified;
     c.bench_function("t5_economics/rows", |b| {
-        b.iter(|| black_box(analyses.experiments().t5_economics()))
+        b.iter(|| {
+            let reports = site_reports(&study.eco, &classified, 1.0);
+            black_box(economics_rows(&classified, &reports))
+        })
     });
 }
 

@@ -46,7 +46,7 @@ fn main() {
             dataset,
         };
         let analyses = study.analyze();
-        let v1 = analyses.experiments().v1_validation();
+        let v1 = analyses.experiments().report_data().v1;
         println!(
             "{:>8} {:>11.0}% {:>11.0}% {:>14.2} {:>12.1}",
             vantage,
@@ -64,7 +64,7 @@ fn main() {
         dataset: run_crawl(&eco, &CrawlerConfig::default()),
     };
     let analyses = study.analyze();
-    let aa = analyses.experiments().aa_session_model();
+    let aa = analyses.experiments().report_data().aa;
     println!(
         "  top median aggregated session: 2h={:.1}h 4h={:.1}h 6h={:.1}h (paper: 'similar results')",
         aa.threshold_sensitivity[0], aa.threshold_sensitivity[1], aa.threshold_sensitivity[2]

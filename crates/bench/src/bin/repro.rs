@@ -63,7 +63,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use btpub::experiments::{render_full_report, ReportData};
+use btpub::experiments::{render_full_report, report_data, ReportData};
 use btpub::{CheckpointPolicy, Scale, Scenario, StreamOptions, StreamOutcome, StreamStudy, Study};
 use btpub_faults::FaultProfile;
 
@@ -413,7 +413,10 @@ fn run_scenario(
             );
             // Campaign timelines need the materialized dataset; the
             // streaming path deliberately never has one.
-            (study.report_data(), None)
+            (
+                report_data(scenario, &study.eco, &study.analyses, &study.truth),
+                None,
+            )
         }
         None => {
             btpub_obs::info!(

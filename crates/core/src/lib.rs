@@ -15,7 +15,7 @@
 //! let scenario = Scenario::pb10(Scale::tiny());
 //! let study = Study::run(&scenario);
 //! let analyses = study.analyze();
-//! let f1 = analyses.experiments().fig1_skewness();
+//! let f1 = analyses.experiments().report_data().f1;
 //! let (content_share, download_share) = f1.top_k_shares;
 //! assert!(content_share > 0.3, "the major publishers dominate content");
 //! assert!(download_share > 0.3, "and the downloads");
@@ -31,7 +31,9 @@
 //! * [`btpub_crawler`] — the §2 measurement apparatus;
 //! * [`btpub_analysis`] — the §3–§6 + Appendix A analysis pipeline;
 //! * this crate — scenarios ([`Scenario`], [`Scale`]), the end-to-end
-//!   runner ([`Study`]), and per-experiment reports ([`experiments`]).
+//!   runners ([`Study`] over a materialized dataset, [`StreamStudy`] over
+//!   a bounded channel; both fold their records through the one
+//!   analysis), and the report ([`experiments`]).
 
 pub mod experiments;
 pub mod scenario;

@@ -2,17 +2,21 @@
 //! aggregation, producing the exact report bytes of [`crate::Study`]
 //! without ever materializing the campaign dataset.
 //!
-//! The crawl runs on a producer thread emitting finalized
-//! [`btpub_crawler::TorrentRecord`]s in announcement order through a
-//! [`btpub_stream::channel`]; the consumer (this thread) drains chunks
-//! and folds each record into a
-//! [`btpub_analysis::streaming::StreamAggregator`] plus the V1
-//! ground-truth tallies. Aggregation is strictly single-threaded and
-//! strictly in announcement order, so `--jobs` parallelism inside the
-//! crawl cannot reorder a single float operation — which is why the
-//! rendered report is byte-identical to the materialized path at any job
-//! count (asserted by `streaming_report_matches_materialized` below and
-//! gated in `scripts/check.sh`).
+//! The crawl runs on a producer thread that emits each finalized
+//! [`btpub_crawler::TorrentRecord`] through a [`btpub_stream::channel`]
+//! as soon as its monitoring ends, so records arrive out of announcement
+//! order. The consumer (this thread) reduces each one to a
+//! [`btpub_analysis::streaming::RecordDigest`], holds digests in a
+//! reorder buffer until their turn, and folds them in announcement order
+//! into the [`btpub_analysis::streaming::StreamAggregator`] plus the V1
+//! ground-truth tallies. That is the fold `Study::analyze` runs over a
+//! materialized dataset, and [`crate::experiments::report_data`] builds
+//! the report from it on both paths. Because the fold is single-threaded
+//! and in announcement order, neither `--jobs` parallelism inside the
+//! crawl nor the arrival order can reorder a single float operation: the
+//! report is byte-identical to the materialized path at any job count
+//! (asserted by `streaming_report_matches_materialized` below and by
+//! `tests/golden_report.rs`, and gated in `scripts/check.sh`).
 //!
 //! # Checkpoint / resume
 //!
@@ -35,27 +39,14 @@ use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 
-use btpub_analysis::content_type::category_distribution_with;
-use btpub_analysis::economics::{economics_rows, hosting_income_from, site_reports};
-use btpub_analysis::fake::Group;
-use btpub_analysis::longitudinal::longitudinal_rows;
-use btpub_analysis::popularity::popularity_box;
-use btpub_analysis::seeding::group_seeding_boxes_with;
-use btpub_analysis::skewness::{content_share_of_top, contribution_cdf, shares_of_top_k};
 use btpub_analysis::stats::SKETCH_DEFAULT_BUDGET;
-use btpub_analysis::streaming::{
-    RecordDigest, StreamAggregator, StreamAnalyses, StreamConfig, DEFAULT_THRESHOLD_IDX,
-};
+use btpub_analysis::streaming::{RecordDigest, StreamAggregator, StreamAnalyses, StreamConfig};
 use btpub_crawler::{run_crawl_with, ChannelSink};
-use btpub_portal::Portal;
 use btpub_sim::Ecosystem;
 use btpub_stream::checkpoint::{self, CheckpointError, CheckpointHeader, Dec, Enc};
 use btpub_stream::spill::{DistinctU32, DEFAULT_CHUNK_VALUES};
 
-use crate::experiments::{
-    appendix_a_report, class_report, hosting_income_rows, mapping_report, render_full_report,
-    validation_report, DatasetSummary, ReportData, SeedingBoxes, SkewnessReport, TruthCounters,
-};
+use crate::experiments::{render_full_report, report_data, TruthCounters};
 use crate::scenario::Scenario;
 
 /// Periodic checkpointing for a streaming run.
@@ -280,11 +271,11 @@ impl StreamStudy {
                 // digest on arrival (pure per-record function); only
                 // digests — sightings already consumed — wait in the
                 // reorder buffer for their announcement turn, and the
-                // order-sensitive fold runs exactly as the materialized
-                // pipeline would. Truth tallies fold *with* the digest,
-                // not at arrival: a checkpoint taken at fold `n` must
-                // hold the truth contributions of exactly the first `n`
-                // records, or a resumed run would double-count the
+                // order-sensitive fold runs exactly as `Study::analyze`
+                // runs it over a dataset. Truth tallies fold *with* the
+                // digest, not at arrival: a checkpoint taken at fold `n`
+                // must hold the truth contributions of exactly the first
+                // `n` records, or a resumed run would double-count the
                 // digests that were pending when the snapshot was taken.
                 let mut pending: BTreeMap<usize, RecordDigest> = BTreeMap::new();
                 let mut next_fold = cursor;
@@ -372,154 +363,15 @@ impl StreamStudy {
         }))
     }
 
-    /// Computes every experiment from the streamed aggregates. Field for
-    /// field equal to [`crate::experiments::Experiments::report_data`]
-    /// over the materialized run of the same scenario.
-    pub fn report_data(&self) -> ReportData {
-        let _span = btpub_obs::span!("study.stream_report");
-        let s = &self.analyses;
-        let eco = &self.eco;
-        let db = &eco.world.db;
-        let top_k = self.scenario.top_k();
-        let totals = &s.totals;
-        let t1 = DatasetSummary {
-            name: self.scenario.crawler.name.clone(),
-            days: eco.config.duration.as_days(),
-            torrents_username: totals.torrents_username,
-            torrents_ip: totals.torrents_ip,
-            torrents_total: totals.torrents_total,
-            ip_addresses: totals.distinct_ips,
-        };
-        let f1 = SkewnessReport {
-            cdf: contribution_cdf(&s.publishers),
-            share_top3pct: content_share_of_top(&s.publishers, 3.0),
-            top_k_shares: shares_of_top_k(&s.publishers, top_k),
-            top_k,
-        };
-        let group_shares_of = |group| {
-            btpub_analysis::fake::group_shares_from(
-                &s.publishers,
-                &s.groups,
-                group,
-                totals.torrents_total,
-                totals.total_downloads,
-            )
-        };
-        let s33 = mapping_report(
-            &s.publishers,
-            &s.groups,
-            db,
-            s.mapping,
-            group_shares_of(Group::Fake),
-            group_shares_of(Group::Top),
-        );
-        let f2 = Group::ALL
-            .into_iter()
-            .map(|g| {
-                (
-                    g,
-                    category_distribution_with(
-                        |idx| s.categories[idx],
-                        &s.publishers,
-                        &s.groups,
-                        g,
-                    ),
-                )
-            })
-            .collect();
-        let f3 = Group::ALL
-            .into_iter()
-            .map(|g| {
-                (
-                    g,
-                    popularity_box(&s.publishers, &s.groups, g, eco.config.seed),
-                )
-            })
-            .collect();
-        let f4 = Group::ALL
-            .into_iter()
-            .map(|g| {
-                let stats: &[_] = if g == Group::Fake {
-                    &s.fake_entities
-                } else {
-                    &s.publishers
-                };
-                let boxes = group_seeding_boxes_with(
-                    stats,
-                    &s.groups,
-                    g,
-                    eco.config.seed,
-                    |members| {
-                        members
-                            .iter()
-                            .filter_map(|p| {
-                                if g == Group::Fake {
-                                    s.fake_seeding_of(&p.key)
-                                } else {
-                                    s.seeding_of(&p.key, DEFAULT_THRESHOLD_IDX)
-                                }
-                            })
-                            .collect()
-                    },
-                )
-                .map(|(seed_time, parallel, aggregated)| SeedingBoxes {
-                    seed_time,
-                    parallel,
-                    aggregated,
-                });
-                (g, boxes)
-            })
-            .collect();
-        let s51 = class_report(&s.classified, |c| {
-            btpub_analysis::classify::class_shares_from(
-                &s.publishers,
-                &s.classified,
-                c,
-                totals.torrents_total,
-                totals.total_downloads,
-            )
-        });
-        let portal = Portal::new(eco);
-        let t4 = longitudinal_rows(&portal, &s.classified, eco.config.horizon());
-        let scale = self.scenario.scale;
-        let correction = 1.0 / eco.config.downloads_scale * (scale.majors / scale.torrents);
-        let reports = site_reports(eco, &s.classified, correction);
-        let t5 = economics_rows(&s.classified, &reports);
-        let s6 =
-            hosting_income_rows(|p| hosting_income_from(&s.isp.footprint(db, p), 300.0));
-        let aa = appendix_a_report(&s.publishers, &s.groups, |p, i| {
-            s.seeding_of(&p.key, i).map(|m| m.aggregated_session_h)
-        });
-        let v1 = validation_report(
-            eco,
-            totals.torrents_total,
-            &self.truth,
-            &s.publishers,
-            &s.groups,
-            |p| s.seeding_of(&p.key, DEFAULT_THRESHOLD_IDX),
-        );
-        ReportData {
-            t1,
-            f1,
-            t2: s.isp.top_isps(db, 10),
-            t3: (s.isp.footprint(db, "OVH"), s.isp.footprint(db, "Comcast")),
-            s33,
-            f2,
-            f3,
-            f4,
-            s51,
-            t4,
-            t5,
-            s6,
-            aa,
-            v1,
-        }
-    }
-
     /// Renders the full side-by-side report (byte-identical to the
     /// materialized `Experiments::full_report`).
     pub fn full_report(&self) -> String {
-        render_full_report(&self.report_data())
+        render_full_report(&report_data(
+            &self.scenario,
+            &self.eco,
+            &self.analyses,
+            &self.truth,
+        ))
     }
 }
 

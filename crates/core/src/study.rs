@@ -1,13 +1,11 @@
 //! The end-to-end study runner.
 
-use btpub_analysis::classify::{classify_top, Classified};
-use btpub_analysis::fake::{assign_groups, Groups};
-use btpub_analysis::publishers::{aggregate_publishers, PublisherStats};
+use btpub_analysis::streaming::{StreamAggregator, StreamAnalyses, StreamConfig};
 use btpub_crawler::{run_crawl, Dataset};
-use btpub_portal::Portal;
 use btpub_sim::Ecosystem;
+use btpub_stream::spill::DistinctU32;
 
-use crate::experiments::Experiments;
+use crate::experiments::{Experiments, TruthCounters};
 use crate::scenario::Scenario;
 
 /// A completed measurement campaign: the generated world plus what the
@@ -42,43 +40,40 @@ impl Study {
         }
     }
 
-    /// Runs the analysis pipeline over the dataset.
+    /// Runs the analysis over the dataset: folds its records, in index
+    /// order, through the same [`StreamAggregator`] a streamed campaign
+    /// uses, with the V1 truth tallies beside it.
     pub fn analyze(&self) -> Analyses<'_> {
         let _span = btpub_obs::span!("study.analyze");
-        let publishers = aggregate_publishers(&self.dataset);
-        let top_k = self.scenario.top_k();
-        let groups = assign_groups(&self.dataset, &publishers, &self.eco.world.db, top_k);
-        let classified = classify_top(&self.dataset, &publishers, &groups);
+        let cfg = StreamConfig {
+            has_usernames: self.dataset.has_usernames,
+            top_k: self.scenario.top_k(),
+        };
+        let mut agg = StreamAggregator::new(cfg, &self.eco.world.db, DistinctU32::in_memory());
+        let mut truth = TruthCounters::default();
+        for rec in &self.dataset.torrents {
+            truth.observe(rec, &self.eco);
+            agg.fold_record(rec);
+        }
         Analyses {
             study: self,
-            publishers,
-            groups,
-            classified,
-            top_k,
+            analyses: agg.finish(),
+            truth,
         }
     }
 }
 
-/// The analysis pipeline's shared intermediate state.
+/// A study's finished fold: the aggregates every experiment reads.
 pub struct Analyses<'a> {
     /// The study analysed.
     pub study: &'a Study,
-    /// Per-publisher aggregation, sorted by content count descending.
-    pub publishers: Vec<PublisherStats>,
-    /// §3.3 group assignment.
-    pub groups: Groups,
-    /// §5.1 business classification of the Top set.
-    pub classified: Vec<Classified>,
-    /// The top-k used.
-    pub top_k: usize,
+    /// Publishers, groups, classification and every other aggregate.
+    pub analyses: StreamAnalyses,
+    /// The V1 ground-truth tallies.
+    pub truth: TruthCounters,
 }
 
 impl<'a> Analyses<'a> {
-    /// A portal view over the study's ecosystem (user pages, RSS).
-    pub fn portal(&self) -> Portal<'a> {
-        Portal::new(&self.study.eco)
-    }
-
     /// The experiment report builder.
     pub fn experiments(&self) -> Experiments<'_, 'a> {
         Experiments::new(self)
@@ -105,7 +100,7 @@ mod tests {
 
     #[test]
     fn analyses_build_groups_and_classes() {
-        let a = study().analyze();
+        let a = study().analyze().analyses;
         assert!(!a.publishers.is_empty());
         assert!(!a.groups.top.is_empty());
         assert!(!a.groups.fake_usernames.is_empty());
@@ -125,7 +120,7 @@ mod tests {
             .filter(|p| p.profile == btpub_sim::Profile::Fake)
             .flat_map(|p| p.usernames.iter().map(String::as_str))
             .collect();
-        let detected = &a.groups.fake_usernames;
+        let detected = &a.analyses.groups.fake_usernames;
         // Recall over *active* fake usernames (those that published).
         let active: std::collections::HashSet<&str> = a
             .study

@@ -57,7 +57,9 @@ pub enum SegmentError {
     /// The file does not start with [`SEGMENT_MAGIC`].
     BadMagic { path: PathBuf },
     /// The file ends mid-frame (or before any trailer): a torn write
-    /// from a dying process. `offset` is where the torn frame begins.
+    /// from a dying process, or a frame header whose length field claims
+    /// more bytes than the file holds. `offset` is where the torn frame
+    /// begins.
     TornFrame { path: PathBuf, offset: u64 },
     /// A frame's payload fails its CRC-32. `offset` is where the frame
     /// begins.
@@ -183,6 +185,8 @@ impl SegmentWriter {
 pub struct SegmentReader {
     input: BufReader<File>,
     path: PathBuf,
+    /// File size at open; no frame may claim bytes past it.
+    file_len: u64,
     offset: u64,
     frames_read: u64,
     finished: bool,
@@ -192,9 +196,11 @@ impl SegmentReader {
     /// Open a segment, verifying its magic.
     pub fn open(path: &Path) -> Result<Self, SegmentError> {
         let file = File::open(path).map_err(SegmentError::io(path))?;
+        let file_len = file.metadata().map_err(SegmentError::io(path))?.len();
         let mut r = Self {
             input: BufReader::new(file),
             path: path.to_path_buf(),
+            file_len,
             offset: 0,
             frames_read: 0,
             finished: false,
@@ -218,7 +224,9 @@ impl SegmentReader {
     /// matches. A file that simply stops — mid-frame *or* at a frame
     /// boundary without a trailer — is [`SegmentError::TornFrame`]: in
     /// this format, absence of a trailer is evidence of a death
-    /// mid-write, not a clean end.
+    /// mid-write, not a clean end. The length field is checked against
+    /// the bytes the file has left before anything is allocated, so a
+    /// flipped length byte is a `TornFrame`, never a 4 GiB buffer.
     pub fn next_frame(&mut self) -> Result<Option<(u32, Vec<u8>)>, SegmentError> {
         if self.finished {
             return Ok(None);
@@ -238,6 +246,9 @@ impl SegmentReader {
         let key = u32::from_le_bytes(header[0..4].try_into().unwrap());
         let len = u32::from_le_bytes(header[4..8].try_into().unwrap()) as usize;
         let stored_crc = u32::from_le_bytes(header[8..12].try_into().unwrap());
+        if len as u64 > self.file_len.saturating_sub(frame_start + 12) {
+            return Err(torn());
+        }
         let mut payload = vec![0u8; len];
         match self.input.read_exact(&mut payload) {
             Ok(()) => {}

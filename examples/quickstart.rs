@@ -29,22 +29,23 @@ fn main() {
     );
 
     let analyses = study.analyze();
+    let a = &analyses.analyses;
     let db = &study.eco.world.db;
     println!("top 10 publishers by published content:");
     println!(
         "{:<22} {:>7} {:>9}  {:<26} class",
         "username", "files", "downloads", "ISP"
     );
-    for p in analyses.publishers.iter().take(10) {
+    for p in a.publishers.iter().take(10) {
         let isp = dominant_isp(p, db)
             .map(|i| format!("{} ({})", db.isp(i).name, db.isp(i).kind))
             .unwrap_or_else(|| "unknown (no IP identified)".into());
-        let class = analyses
+        let class = a
             .classified
             .iter()
             .find(|c| c.key == p.key)
             .map(|c| c.class.label())
-            .unwrap_or(if analyses.groups.contains(&p.key, btpub::analysis::fake::Group::Fake) {
+            .unwrap_or(if a.groups.contains(&p.key, btpub::analysis::fake::Group::Fake) {
                 "FAKE"
             } else {
                 "-"
@@ -60,15 +61,15 @@ fn main() {
     }
 
     // The paper's headline: a handful of publishers dominate everything.
-    let ex = analyses.experiments();
-    let f1 = ex.fig1_skewness();
+    let report = analyses.experiments().report_data();
+    let f1 = &report.f1;
     println!(
         "\nthe top {} publishers account for {:.0}% of content and {:.0}% of downloads",
         f1.top_k,
         f1.top_k_shares.0 * 100.0,
         f1.top_k_shares.1 * 100.0
     );
-    let s33 = ex.s33_mapping();
+    let s33 = &report.s33;
     println!(
         "fake publishers: {} usernames from {} server IPs — {:.0}% of content, {:.0}% of downloads",
         s33.fake_usernames,

@@ -169,9 +169,11 @@ fi
 echo "periodic manifests deterministic; partial-run semantics hold"
 
 echo "== streaming pipeline: --stream must not move a report byte =="
-# The streaming dataflow (bounded channel, out-of-order record arrival,
-# digest reorder, sketch-backed aggregation) against the materialized
-# reports from the determinism section, at both job counts.
+# Both modes run the one analysis fold and the one report builder, so
+# this diff checks how records reach the fold: the crawl's ChannelSink,
+# the bounded channel, out-of-order arrival and the digest reorder
+# buffer, against the materialized reports from the determinism section,
+# at both job counts.
 ./target/release/repro --scenario all --scale tiny --jobs 1 --stream \
     > "$tmpdir/stream-serial.txt" 2>/dev/null
 ./target/release/repro --scenario all --scale tiny --jobs 4 --stream \

@@ -58,8 +58,8 @@ fn flaky_pb10_recovers_the_papers_conclusions() {
     );
     // The paper's headline conclusions survive the weather.
     let analyses = study.analyze();
-    let ex = analyses.experiments();
-    let s33 = ex.s33_mapping();
+    let report = analyses.experiments().report_data();
+    let s33 = &report.s33;
     let majors_content = s33.fake_shares.0 + s33.top_shares.0;
     assert!(
         majors_content > 0.55,
@@ -75,7 +75,7 @@ fn flaky_pb10_recovers_the_papers_conclusions() {
         "top publishers still sit at hosting providers ({:.2})",
         s33.hosting.0
     );
-    let f1 = ex.fig1_skewness();
+    let f1 = &report.f1;
     assert!(
         f1.top_k_shares.1 > f1.top_k_shares.0,
         "downloads remain more concentrated than content"

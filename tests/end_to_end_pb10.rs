@@ -14,9 +14,9 @@ fn study() -> &'static Study {
 
 #[test]
 fn headline_skewness_few_publishers_dominate() {
-    let a = study().analyze();
-    let f1 = a.experiments().fig1_skewness();
-    let s33 = a.experiments().s33_mapping();
+    let r = study().analyze().experiments().report_data();
+    let f1 = r.f1;
+    let s33 = r.s33;
     // "just few publishers (around 100) are responsible of 2/3 of the
     // contents that serve 3/4 of the downloads" — the ~100 majors are the
     // fake entities plus the top publishers.
@@ -40,8 +40,8 @@ fn headline_skewness_few_publishers_dominate() {
 
 #[test]
 fn fake_and_top_shares_in_paper_bands() {
-    let a = study().analyze();
-    let s33 = a.experiments().s33_mapping();
+    let r = study().analyze().experiments().report_data();
+    let s33 = r.s33;
     // Paper: fake = 30 % content / 25 % downloads.
     assert!(
         (0.20..=0.45).contains(&s33.fake_shares.0),
@@ -69,8 +69,8 @@ fn fake_and_top_shares_in_paper_bands() {
 
 #[test]
 fn major_publishers_sit_at_hosting_providers() {
-    let a = study().analyze();
-    let s33 = a.experiments().s33_mapping();
+    let r = study().analyze().experiments().report_data();
+    let s33 = r.s33;
     // Paper: 42 % of the top-100 at hosting providers, OVH the largest.
     assert!(
         (0.25..=0.70).contains(&s33.hosting.0),
@@ -83,8 +83,8 @@ fn major_publishers_sit_at_hosting_providers() {
 
 #[test]
 fn table2_hosting_providers_lead_and_ovh_is_first() {
-    let a = study().analyze();
-    let rows = a.experiments().t2_isps();
+    let r = study().analyze().experiments().report_data();
+    let rows = r.t2;
     assert!(rows.len() >= 5);
     let hosting_in_top5 = rows
         .iter()
@@ -99,8 +99,8 @@ fn table2_hosting_providers_lead_and_ovh_is_first() {
 
 #[test]
 fn table3_ovh_concentrated_comcast_scattered() {
-    let a = study().analyze();
-    let (ovh, comcast) = a.experiments().t3_footprints();
+    let r = study().analyze().experiments().report_data();
+    let (ovh, comcast) = r.t3;
     // The paper's key contrast: OVH feeds much more per address, from few
     // prefixes and locations; Comcast publishers scatter.
     assert!(ovh.fed_torrents > comcast.fed_torrents, "OVH feeds more");
@@ -123,8 +123,8 @@ fn table3_ovh_concentrated_comcast_scattered() {
 
 #[test]
 fn fig2_video_dominates_and_orderings_hold() {
-    let a = study().analyze();
-    let dists = a.experiments().fig2_content_types();
+    let r = study().analyze().experiments().report_data();
+    let dists = r.f2;
     let share = |g: Group| {
         dists
             .iter()
@@ -145,8 +145,8 @@ fn fig2_video_dominates_and_orderings_hold() {
 
 #[test]
 fn fig3_popularity_orderings() {
-    let a = study().analyze();
-    let boxes = a.experiments().fig3_popularity();
+    let r = study().analyze().experiments().report_data();
+    let boxes = r.f3;
     let median = |g: Group| {
         boxes
             .iter()
@@ -175,8 +175,8 @@ fn fig3_popularity_orderings() {
 
 #[test]
 fn fig4_seeding_signatures() {
-    let a = study().analyze();
-    let boxes = a.experiments().fig4_seeding();
+    let r = study().analyze().experiments().report_data();
+    let boxes = r.f4;
     let get = |g: Group| {
         boxes
             .iter()
@@ -212,7 +212,7 @@ fn fig4_seeding_signatures() {
 #[test]
 fn s51_classification_and_profit_shares() {
     let a = study().analyze();
-    let report = a.experiments().s51_classes();
+    let report = a.experiments().report_data().s51;
     let share_of_top = |c: BusinessClass| {
         report
             .shares
@@ -245,6 +245,7 @@ fn s51_classification_and_profit_shares() {
     // zero. Only assert the trend once the sample makes its absence a
     // <1 % event (0.34^n < 0.01 needs n >= 5 dedicated portals).
     let dedicated_portals = a
+        .analyses
         .classified
         .iter()
         .filter(|c| c.class == BusinessClass::BtPortal && c.language.is_some())
@@ -256,8 +257,8 @@ fn s51_classification_and_profit_shares() {
 
 #[test]
 fn t4_longitudinal_profit_driven_publish_faster() {
-    let a = study().analyze();
-    let rows = a.experiments().t4_longitudinal();
+    let r = study().analyze().experiments().report_data();
+    let rows = r.t4;
     let rate = |c: BusinessClass| {
         rows.iter()
             .find(|r| r.class == c)
@@ -275,8 +276,8 @@ fn t4_longitudinal_profit_driven_publish_faster() {
 
 #[test]
 fn t5_economics_sites_are_profitable() {
-    let a = study().analyze();
-    let rows = a.experiments().t5_economics();
+    let r = study().analyze().experiments().report_data();
+    let rows = r.t5;
     assert!(!rows.is_empty());
     for row in &rows {
         // "fairly profitable: valued in few tens thousands dollars with
@@ -292,8 +293,8 @@ fn t5_economics_sites_are_profitable() {
 
 #[test]
 fn s6_hosting_income_ovh_largest_among_named() {
-    let a = study().analyze();
-    let rows = a.experiments().s6_hosting_income();
+    let r = study().analyze().experiments().report_data();
+    let rows = r.s6;
     let ovh = rows.iter().find(|(p, ..)| *p == "OVH").unwrap();
     assert!(ovh.1 > 0, "OVH hosts publisher servers");
     assert_eq!(ovh.2, ovh.1 as f64 * 300.0);
@@ -301,8 +302,8 @@ fn s6_hosting_income_ovh_largest_among_named() {
 
 #[test]
 fn appendix_a_model_and_threshold_robustness() {
-    let a = study().analyze();
-    let aa = a.experiments().aa_session_model();
+    let r = study().analyze().experiments().report_data();
+    let aa = r.aa;
     assert_eq!(aa.m_for_99, 13, "paper's m=13 at N=165, W=50");
     // The paper repeated the experiment with 2 h and 6 h thresholds and
     // obtained similar results; our ground-truth-driven check agrees.

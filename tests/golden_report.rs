@@ -1,5 +1,7 @@
-//! Golden-report fixtures: the pb10 tiny-scale report is pinned byte for
-//! byte, clean and hostile, serial and parallel.
+//! Golden-report fixtures: the tiny-scale reports are pinned byte for
+//! byte — pb10 clean and hostile, mn08 (no usernames: the IP-keyed
+//! branch of every analysis) and pb09 (single query per torrent) clean —
+//! serial and parallel, materialized and streamed.
 //!
 //! The hotpath work (FxHash maps, interned symbols, scratch buffers,
 //! coarsened pool tasks) is only admissible because it cannot change a
@@ -10,7 +12,7 @@
 //! with a line-level diff.
 //!
 //! Regenerating (only after an *intentional* report change):
-//! `./target/release/repro --scenario pb10 --scale tiny [--fault-profile
+//! `./target/release/repro --scenario <name> --scale tiny [--fault-profile
 //! hostile] 2>/dev/null` over each fixture file.
 
 use btpub::{Scale, Scenario, StreamOptions, StreamStudy, Study};
@@ -18,34 +20,31 @@ use btpub_faults::FaultProfile;
 use btpub_par::Jobs;
 use std::fmt::Write as _;
 
-/// Renders exactly what `repro --scenario pb10 --scale tiny` prints to
-/// stdout (see `run_scenario` in crates/bench/src/bin/repro.rs).
-fn render_pb10_tiny(profile: FaultProfile, jobs: usize) -> String {
+/// Renders exactly what `repro --scenario <name> --scale tiny` prints to
+/// stdout (see `run_scenario` in crates/bench/src/bin/repro.rs), through
+/// the materialized `Study` or the streaming pipeline (`repro --stream`).
+fn render_tiny(name: &str, profile: FaultProfile, jobs: usize, streamed: bool) -> String {
     btpub_par::set_global(Jobs::new(jobs));
-    let mut scenario = Scenario::pb10(Scale::tiny());
+    let mut scenario = match name {
+        "mn08" => Scenario::mn08(Scale::tiny()),
+        "pb09" => Scenario::pb09(Scale::tiny()),
+        _ => Scenario::pb10(Scale::tiny()),
+    };
     scenario.crawler.fault_profile = profile;
-    let study = Study::run(&scenario);
-    let analyses = study.analyze();
+    let report = if streamed {
+        StreamStudy::run(&scenario, &StreamOptions::default()).full_report()
+    } else {
+        Study::run(&scenario).analyze().experiments().full_report()
+    };
     let mut out = String::new();
-    writeln!(out, "################ scenario pb10 ################").unwrap();
+    writeln!(out, "################ scenario {name} ################").unwrap();
     writeln!(out, "# fault-profile: {}", scenario.crawler.fault_profile.name).unwrap();
-    write!(out, "{}", analyses.experiments().full_report()).unwrap();
+    write!(out, "{report}").unwrap();
     out
 }
 
-/// The same report through the streaming pipeline (`repro --stream`):
-/// bounded channel, record-at-a-time aggregation, quantile sketches —
-/// and still not one byte of drift from the committed fixtures.
-fn render_pb10_tiny_streamed(profile: FaultProfile, jobs: usize) -> String {
-    btpub_par::set_global(Jobs::new(jobs));
-    let mut scenario = Scenario::pb10(Scale::tiny());
-    scenario.crawler.fault_profile = profile;
-    let study = StreamStudy::run(&scenario, &StreamOptions::default());
-    let mut out = String::new();
-    writeln!(out, "################ scenario pb10 ################").unwrap();
-    writeln!(out, "# fault-profile: {}", scenario.crawler.fault_profile.name).unwrap();
-    write!(out, "{}", study.full_report()).unwrap();
-    out
+fn render_pb10_tiny(profile: FaultProfile, jobs: usize) -> String {
+    render_tiny("pb10", profile, jobs, false)
 }
 
 /// Points at the first diverging line so a failure is debuggable.
@@ -89,20 +88,36 @@ fn pb10_reports_match_committed_fixtures_at_all_jobs_and_profiles() {
         );
     }
     // The streaming pipeline against the *same* fixtures: the bounded
-    // channel, the record-at-a-time fold, and the quantile sketches
-    // behind the box-plot sections must reproduce the committed bytes
-    // exactly, serial and parallel.
+    // channel, out-of-order arrival and the digest reorder buffer must
+    // hand the fold the records a materialized dataset holds, serial and
+    // parallel.
     for jobs in [1, 4] {
         assert_matches_fixture(
-            &render_pb10_tiny_streamed(FaultProfile::clean(), jobs),
+            &render_tiny("pb10", FaultProfile::clean(), jobs, true),
             clean,
             &format!("clean profile, --jobs {jobs}, streamed"),
         );
         assert_matches_fixture(
-            &render_pb10_tiny_streamed(FaultProfile::hostile(), jobs),
+            &render_tiny("pb10", FaultProfile::hostile(), jobs, true),
             hostile,
             &format!("hostile profile, --jobs {jobs}, streamed"),
         );
+    }
+    // mn08 and pb09, both paths, both job counts.
+    let others = [
+        ("mn08", include_str!("fixtures/golden_mn08_tiny_clean.txt")),
+        ("pb09", include_str!("fixtures/golden_pb09_tiny_clean.txt")),
+    ];
+    for (name, fixture) in others {
+        for jobs in [1, 4] {
+            for streamed in [false, true] {
+                assert_matches_fixture(
+                    &render_tiny(name, FaultProfile::clean(), jobs, streamed),
+                    fixture,
+                    &format!("{name} clean profile, --jobs {jobs}, streamed={streamed}"),
+                );
+            }
+        }
     }
     // Same four configurations with the flight recorder armed, against
     // the *same* fixtures: recording must not move a single report byte.

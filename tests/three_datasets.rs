@@ -60,15 +60,16 @@ fn mn08_analyses_work_ip_keyed() {
     let a = mn08.analyze();
     // Publishers are keyed by IP.
     assert!(a
+        .analyses
         .publishers
         .iter()
         .all(|p| matches!(p.key, btpub::analysis::publishers::PublisherKey::Ip(_))));
     // The skewness result still holds (Fig 1 plots mn08 too).
-    let f1 = a.experiments().fig1_skewness();
-    assert!(f1.top_k_shares.0 > 0.3);
+    let r = a.experiments().report_data();
+    assert!(r.f1.top_k_shares.0 > 0.3);
     // Table 2 for mn08: hosting providers lead, as in the paper
     // (77 % of mn08's top-100 at hosting services).
-    let rows = a.experiments().t2_isps();
+    let rows = r.t2;
     assert!(!rows.is_empty());
     let hosting = rows
         .iter()
@@ -84,8 +85,7 @@ fn ovh_contributes_across_all_datasets() {
     // fraction of published content at major BitTorrent portals".
     let (mn08, pb09, pb10) = studies();
     for study in [mn08, pb09, pb10] {
-        let a = study.analyze();
-        let rows = a.experiments().t2_isps();
+        let rows = study.analyze().experiments().report_data().t2;
         let ovh = rows.iter().find(|r| r.name == "OVH");
         assert!(
             ovh.is_some_and(|r| r.pct_content > 3.0),

@@ -13,8 +13,8 @@ fn study() -> &'static Study {
 
 #[test]
 fn identification_has_high_precision_and_known_failure_modes() {
-    let a = study().analyze();
-    let v1 = a.experiments().v1_validation();
+    let r = study().analyze().experiments().report_data();
+    let v1 = r.v1;
     assert!(
         v1.ip_precision > 0.9,
         "identified IPs wrong too often: {:.2}",
@@ -38,8 +38,8 @@ fn identification_has_high_precision_and_known_failure_modes() {
 
 #[test]
 fn session_estimation_matches_ground_truth_for_top_publishers() {
-    let a = study().analyze();
-    let v1 = a.experiments().v1_validation();
+    let r = study().analyze().experiments().report_data();
+    let v1 = r.v1;
     assert!(
         v1.session_error_median < 0.30,
         "median session estimation error {:.2}",
@@ -49,8 +49,8 @@ fn session_estimation_matches_ground_truth_for_top_publishers() {
 
 #[test]
 fn crawler_observes_most_download_activity() {
-    let a = study().analyze();
-    let v1 = a.experiments().v1_validation();
+    let r = study().analyze().experiments().report_data();
+    let v1 = r.v1;
     assert!(
         v1.download_coverage > 0.3,
         "download coverage {:.2}",
