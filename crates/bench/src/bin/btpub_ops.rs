@@ -23,15 +23,10 @@
 
 use std::path::{Path, PathBuf};
 
+use btpub_bench::incident::{self, Section, ARCHIVE_VERSION};
 use btpub_faults::NetConfig;
-use btpub_stream::checkpoint::{crc32, Dec, Enc};
 use btpub_tracker::client::HttpSession;
 use serde_json::Value;
-
-/// On-disk magic for an incident archive.
-const ARCHIVE_MAGIC: &[u8; 8] = b"BTPUBINC";
-/// Bumped whenever the section encoding changes shape.
-const ARCHIVE_VERSION: u32 = 1;
 
 fn usage() -> ! {
     eprintln!(
@@ -83,7 +78,7 @@ fn bundle(args: &[String]) -> i32 {
 
     // Section order is the render order: build meta first, then the
     // run-level evidence, then the per-dump black-box files.
-    let mut sections: Vec<(String, Vec<u8>)> = Vec::new();
+    let mut sections: Vec<Section> = Vec::new();
     let meta = format!(
         "{{\"tool\":\"btpub-ops\",\"version\":\"{}\",\"archive_version\":{},\"note\":{}}}\n",
         env!("CARGO_PKG_VERSION"),
@@ -144,18 +139,8 @@ fn bundle(args: &[String]) -> i32 {
         }
     }
 
-    let mut enc = Enc::new();
-    enc.u32(sections.len() as u32);
-    for (name, bytes) in &sections {
-        enc.str(name);
-        enc.bytes(bytes);
-    }
-    let mut file = Vec::new();
-    file.extend_from_slice(ARCHIVE_MAGIC);
-    file.extend_from_slice(&ARCHIVE_VERSION.to_le_bytes());
-    file.extend_from_slice(&enc.into_bytes());
-    let crc = crc32(&file);
-    file.extend_from_slice(&crc.to_le_bytes());
+    let file = incident::encode(&sections);
+    let crc = u32::from_le_bytes(file[file.len() - 4..].try_into().expect("4-byte trailer"));
 
     // Atomic: assemble next to the target, rename over it, so a watcher
     // (or a second bundle) never reads a torn archive.
@@ -180,7 +165,7 @@ fn bundle(args: &[String]) -> i32 {
 /// Black-box dumps matching `<prefix>-*.json` (the naming
 /// `trace::trip` uses), sorted by file name so the sequence numbers
 /// keep trip order.
-fn collect_blackbox(prefix: &str) -> std::io::Result<Vec<(String, Vec<u8>)>> {
+fn collect_blackbox(prefix: &str) -> std::io::Result<Vec<Section>> {
     let p = Path::new(prefix);
     let dir = match p.parent() {
         Some(d) if !d.as_os_str().is_empty() => d.to_path_buf(),
@@ -240,51 +225,14 @@ fn triage(args: &[String]) -> i32 {
     render_triage(&path, &sections, baseline.as_deref(), p99_tolerance)
 }
 
-/// Reads and fully validates an archive: magic, version, then the
-/// whole-file CRC *before* any section is parsed — a torn or
-/// bit-flipped archive is refused by name, never misparsed.
-fn read_archive(path: &Path) -> Result<Vec<(String, Vec<u8>)>, String> {
+/// Reads and fully validates an archive (see [`incident::decode`]).
+fn read_archive(path: &Path) -> Result<Vec<Section>, String> {
     let data = std::fs::read(path)
         .map_err(|e| format!("cannot read incident archive {}: {e}", path.display()))?;
-    if data.len() < ARCHIVE_MAGIC.len() + 8 || &data[..8] != ARCHIVE_MAGIC {
-        return Err(format!(
-            "incident archive {} refused: bad magic (not a btpub-ops archive)",
-            path.display()
-        ));
-    }
-    let body = &data[..data.len() - 4];
-    let stored = u32::from_le_bytes(data[data.len() - 4..].try_into().unwrap());
-    let computed = crc32(body);
-    if stored != computed {
-        return Err(format!(
-            "incident archive {} refused: crc mismatch (stored {stored:#010x}, \
-             computed {computed:#010x}) — file is corrupt or truncated",
-            path.display()
-        ));
-    }
-    let version = u32::from_le_bytes(body[8..12].try_into().unwrap());
-    if version != ARCHIVE_VERSION {
-        return Err(format!(
-            "incident archive {} refused: format version mismatch (file v{version}, \
-             binary v{ARCHIVE_VERSION})",
-            path.display()
-        ));
-    }
-    let mut dec = Dec::new(&body[12..]);
-    let mut parse = || -> Result<Vec<(String, Vec<u8>)>, btpub_stream::checkpoint::CheckpointError> {
-        let count = dec.u32()?;
-        let mut out = Vec::with_capacity(count as usize);
-        for _ in 0..count {
-            let name = dec.str()?;
-            let bytes = dec.bytes()?;
-            out.push((name, bytes));
-        }
-        Ok(out)
-    };
-    parse().map_err(|e| format!("incident archive {} refused: {e}", path.display()))
+    incident::decode(&data).map_err(|e| format!("incident archive {} refused: {e}", path.display()))
 }
 
-fn section<'a>(sections: &'a [(String, Vec<u8>)], name: &str) -> Option<&'a [u8]> {
+fn section<'a>(sections: &'a [Section], name: &str) -> Option<&'a [u8]> {
     sections
         .iter()
         .find(|(n, _)| n == name)
@@ -297,7 +245,7 @@ fn parse_json(bytes: &[u8]) -> Option<Value> {
 
 /// The metrics snapshot to triage from: the live `/metrics` scrape when
 /// the bundle has one, else the manifest's embedded snapshot.
-fn snapshot_of(sections: &[(String, Vec<u8>)]) -> Option<Value> {
+fn snapshot_of(sections: &[Section]) -> Option<Value> {
     if let Some(v) = section(sections, "metrics").and_then(parse_json) {
         return Some(v);
     }
@@ -324,7 +272,7 @@ fn counters_under(snapshot: &Value, prefix: &str) -> Vec<(String, u64)> {
 
 fn render_triage(
     path: &Path,
-    sections: &[(String, Vec<u8>)],
+    sections: &[Section],
     baseline: Option<&Path>,
     p99_tolerance: f64,
 ) -> i32 {

@@ -1,4 +1,7 @@
-//! Shared fixtures for the benchmarks and the `repro` binary.
+//! Shared fixtures for the benchmarks and the `repro` binary, and the
+//! incident archive format of `btpub-ops`.
+
+pub mod incident;
 
 use std::sync::OnceLock;
 

@@ -161,9 +161,9 @@ impl StreamStudy {
     }
 
     /// [`Self::run`] over an already-generated world — the entry point
-    /// `bench_stream` uses so world generation (whose memory scales with
-    /// the campaign by construction) stays out of the crawl+analysis
-    /// peak-bytes measurement.
+    /// the memory test `tests/stream_memory.rs` uses so world generation
+    /// (whose memory scales with the campaign by construction) stays out
+    /// of the crawl+analysis peak-bytes measurement.
     pub fn run_on(scenario: &Scenario, eco: Ecosystem, opts: &StreamOptions) -> StreamStudy {
         match Self::try_run_on(scenario, eco, opts) {
             Ok(StreamOutcome::Complete(study)) => study,

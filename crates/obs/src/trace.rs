@@ -8,8 +8,8 @@
 //!   always compiled in but runtime-gated by [`enabled`], which in the
 //!   steady state is a single `Relaxed` load of an `AtomicU8` plus a
 //!   compare. No timestamp is taken, no lock touched, no allocation
-//!   made unless the recorder is on. `bench_hotpath` measures this as
-//!   `trace_overhead_pct`.
+//!   made unless the recorder is on. The release-only test
+//!   `tests/trace_overhead.rs` holds the armed cost to 5% per announce.
 //! * **On must not move a single report byte.** Events go *only* into
 //!   the per-thread rings here; while recording, the recorder never
 //!   creates or bumps a [`crate::Registry`] metric, and the drained

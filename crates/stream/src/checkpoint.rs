@@ -256,6 +256,12 @@ impl<'a> Dec<'a> {
         Ok(self.take(n, "bytes")?.to_vec())
     }
 
+    /// Bytes not yet read: what bounds any length or count field still
+    /// to come.
+    pub fn remaining(&self) -> usize {
+        self.data.len() - self.pos
+    }
+
     pub fn is_empty(&self) -> bool {
         self.pos >= self.data.len()
     }

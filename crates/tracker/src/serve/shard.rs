@@ -632,7 +632,7 @@ impl Plane {
     /// blacklist entry; the deterministic counters. Two planes that
     /// processed the same per-client announce sequences produce
     /// byte-identical snapshots **regardless of shard count or
-    /// interleaving** — the property the serve gate enforces.
+    /// interleaving** — the property `serve_soak.rs` enforces.
     pub fn snapshot(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();

@@ -224,66 +224,13 @@ if ! diff -u "$tmpdir/pb10-plain.txt" "$tmpdir/pb10-scale0.txt"; then
 fi
 echo "--scale 0 warns once and falls back to 1x"
 
-echo "== memory gate: 100x-shape streaming peak vs committed BENCH_stream.json =="
-# The tiny 100×-shape campaign must run under the committed byte ceiling
-# with sublinear 1×→100× peak growth, and the 1× streaming report must
-# stay byte-identical to the materialized one (checked in-process).
-./target/release/bench_stream --jobs 1 \
-    --out "$tmpdir/bench_stream.json" --gate BENCH_stream.json
-
-echo "== memory gate inversion: an injected leak ceiling must trip the gate =="
-# Doctor the committed baseline down to a 1 KiB ceiling: replaying the
-# fresh measurement against it must fail — proving the gate actually
-# compares peak bytes and is not a rubber stamp.
-sed -E 's/("ceiling_bytes": )[0-9]+/\11024/' \
-    BENCH_stream.json > "$tmpdir/bench_stream_broken.json"
-if ./target/release/bench_stream --replay "$tmpdir/bench_stream.json" \
-    --gate "$tmpdir/bench_stream_broken.json" \
-    --out "$tmpdir/bench_stream_replay.json" >/dev/null 2>&1; then
-    echo "FAIL: memory gate passed against a 1 KiB ceiling (gate is inert)" >&2
-    exit 1
-fi
-echo "memory gate flags the injected ceiling breach (exit nonzero)"
-
-echo "== perf smoke gate: tiny-scale hotpath vs committed BENCH_hotpath.json =="
-# Reduced-scale pass of the hotpath bench, gated against the committed
-# baseline: fails on any allocs-per-announce regression (the fast path
-# must stay allocation-free), a >20% tiny-pipeline wall regression, or
-# armed flight-recorder overhead beyond its fixed 5% ceiling.
-./target/release/bench_hotpath --scale tiny --jobs 1 \
-    --out "$tmpdir/bench_hotpath.json" --gate BENCH_hotpath.json
-
-echo "== serve smoke gate: loopback daemon vs committed BENCH_serve.json =="
-# Real-socket pass of the serving bench, gated against the committed
-# baseline: fails if the daemon's shard-merged snapshot diverges from
-# the in-process oracle (at 1 shard, 8 shards, or under throughput
-# load), or on a >20% announces/sec regression.
-./target/release/bench_serve --jobs 1 \
-    --out "$tmpdir/bench_serve.json" --gate BENCH_serve.json
-
-echo "== serve gate inversion: a doctored baseline must trip the gate =="
-# Inflate the committed throughput 10x: replaying the fresh measurement
-# against it must fail — proving the gate compares announces/sec and is
-# not a rubber stamp.
-sed -E 's/("announces_per_sec": )[0-9.]+/\19000000.0/' \
-    BENCH_serve.json > "$tmpdir/bench_serve_broken.json"
-if ./target/release/bench_serve --replay "$tmpdir/bench_serve.json" \
-    --gate "$tmpdir/bench_serve_broken.json" \
-    --out "$tmpdir/bench_serve_replay.json" >/dev/null 2>&1; then
-    echo "FAIL: serve gate passed a 10x throughput baseline (gate is inert)" >&2
-    exit 1
-fi
-# Same for a parity flip: a snapshot that diverged from the oracle must
-# never pass, whatever the throughput says.
-sed -E 's/("oracle_match_8shard": )true/\1false/' \
-    "$tmpdir/bench_serve.json" > "$tmpdir/bench_serve_noparity.json"
-if ./target/release/bench_serve --replay "$tmpdir/bench_serve_noparity.json" \
-    --gate BENCH_serve.json \
-    --out "$tmpdir/bench_serve_replay2.json" >/dev/null 2>&1; then
-    echo "FAIL: serve gate passed a snapshot that diverged from the oracle" >&2
-    exit 1
-fi
-echo "serve gate flags the doctored baseline and the parity flip (exit nonzero)"
+echo "== release-only tests: memory ceiling, trace overhead, counter throughput =="
+# The tests a debug build cannot judge, marked #[ignore]: the streaming
+# 100x-shape memory ceiling (tests/stream_memory.rs), the armed
+# flight-recorder overhead ceiling (tests/trace_overhead.rs) and the
+# obs counter throughput floor. The memory and trace tests also check
+# that their meters measured something, so neither can pass inert.
+cargo test --release --offline --workspace -- --ignored
 
 echo "== serve metrics: btpub-load must surface serve.* in metrics/manifest/report =="
 ./target/release/btpub-load --seed 7 --announces 800 --clients 32 --drivers 4 \
