@@ -110,9 +110,14 @@ fn tracker_query(c: &mut Criterion) {
         // state; advance time so no query is rate-limited.
         let mut tracker = TrackerSim::new(&study.eco);
         let mut t = SimTime::ZERO;
+        let mut peers = Vec::new();
         b.iter(|| {
             t += SimDuration(1000);
-            black_box(tracker.query(1, btpub_sim::TorrentId(0), t, 200).ok())
+            black_box(
+                tracker
+                    .query_into(1, btpub_sim::TorrentId(0), t, 200, &mut peers)
+                    .ok(),
+            )
         })
     });
 }

@@ -101,6 +101,26 @@ struct TorrentState {
     fault_retries: u32,
 }
 
+impl TorrentState {
+    /// Records `cause` as why identification failed, unless the torrent
+    /// was identified or already carries a cause.
+    fn fail_once(&mut self, cause: IpFailure) {
+        if self.record.publisher_ip.is_none() && self.record.ip_failure.is_none() {
+            self.record.ip_failure = Some(cause);
+        }
+    }
+}
+
+/// The identification cause an announce lost to an injected fault
+/// leaves behind.
+fn fault_cause(err: QueryError) -> IpFailure {
+    match err {
+        QueryError::TrackerDown { .. } => IpFailure::TrackerDown,
+        QueryError::Malformed { .. } => IpFailure::MalformedReply,
+        _ => IpFailure::GaveUpRetrying,
+    }
+}
+
 /// Finalized-record bookkeeping. Torrents finish monitoring in event
 /// order; an *ordered* sink must see records in announcement order, so
 /// records that finish early wait in a reorder buffer keyed on their
@@ -175,9 +195,7 @@ fn finalize_record(mut st: TorrentState, portal: &Portal, horizon: SimTime) -> T
     // their first query scheduled past the horizon and never be
     // contacted; every unidentified record must still carry a cause
     // (§2: the paper enumerates reasons for unresolved IPs).
-    if st.record.publisher_ip.is_none() && st.record.ip_failure.is_none() {
-        st.record.ip_failure = Some(IpFailure::CampaignEnded);
-    }
+    st.fail_once(IpFailure::CampaignEnded);
     // Count *final* identification outcomes here rather than in the
     // event loop: ip_failure is overwritten as attempts progress.
     match (st.record.publisher_ip, st.record.ip_failure) {
@@ -405,11 +423,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                     if retry <= horizon {
                         queue.schedule(retry, Event::Query { torrent, round });
                     } else {
-                        if state.record.publisher_ip.is_none()
-                            && state.record.ip_failure.is_none()
-                        {
-                            state.record.ip_failure = Some(IpFailure::TrackerDown);
-                        }
+                        state.fail_once(IpFailure::TrackerDown);
                         state.done = true;
                     }
                     break 'query;
@@ -441,24 +455,12 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                         breaker.on_failure(now.secs());
                         state.fault_retries += 1;
                         if pounce_lost(state, now) {
-                            state.record.ip_failure = Some(match err {
-                                QueryError::TrackerDown { .. } => IpFailure::TrackerDown,
-                                QueryError::Malformed { .. } => IpFailure::MalformedReply,
-                                _ => IpFailure::GaveUpRetrying,
-                            });
+                            state.record.ip_failure = Some(fault_cause(err));
                             state.ident_attempts_left = 0;
                         }
                         if state.fault_retries > cfg.max_fault_retries {
                             btpub_obs::static_counter!("crawler.query.gaveup").inc();
-                            if state.record.publisher_ip.is_none()
-                                && state.record.ip_failure.is_none()
-                            {
-                                state.record.ip_failure = Some(match err {
-                                    QueryError::TrackerDown { .. } => IpFailure::TrackerDown,
-                                    QueryError::Malformed { .. } => IpFailure::MalformedReply,
-                                    _ => IpFailure::GaveUpRetrying,
-                                });
-                            }
+                            state.fail_once(fault_cause(err));
                             state.fault_retries = 0;
                             let next = now + spacing;
                             if next <= horizon {
@@ -518,15 +520,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                                 },
                             );
                         } else {
-                            if state.record.publisher_ip.is_none()
-                                && state.record.ip_failure.is_none()
-                            {
-                                state.record.ip_failure = Some(match err {
-                                    QueryError::TrackerDown { .. } => IpFailure::TrackerDown,
-                                    QueryError::Malformed { .. } => IpFailure::MalformedReply,
-                                    _ => IpFailure::GaveUpRetrying,
-                                });
-                            }
+                            state.fail_once(fault_cause(err));
                             state.done = true;
                         }
                         break 'query;

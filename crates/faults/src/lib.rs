@@ -42,24 +42,10 @@ pub use plan::{points, Fault, FaultPlan, FaultPoint};
 pub use profile::FaultProfile;
 pub use retry::RetryPolicy;
 
-/// Mixes `(seed, stream, index)` into a uniform `u64`.
-///
-/// FNV-1a over the stream label, then SplitMix64 finalisation mixing in
-/// the index — the same discipline `btpub_sim::rngs::derive` uses, kept
-/// local so this crate stays dependency-free below `btpub-obs`. Stateless
-/// by construction: the value depends only on the three inputs, never on
-/// call order, which is what makes serial and parallel runs agree.
-pub fn mix(seed: u64, stream: &str, index: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in stream.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    let mut z = seed ^ h ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+/// Mixes `(seed, stream, index)` into a uniform `u64` — the workspace's
+/// one seed mixer, shared with the flight recorder's sampler and the
+/// simulation's RNG streams.
+pub use btpub_obs::trace::mix;
 
 /// Folds several ids into one draw index (e.g. `(client, torrent, t)`).
 pub fn key(parts: &[u64]) -> u64 {
@@ -79,10 +65,10 @@ mod tests {
 
     #[test]
     fn mix_is_deterministic_and_separated() {
-        assert_eq!(mix(1, "a", 2), mix(1, "a", 2));
-        assert_ne!(mix(1, "a", 2), mix(1, "a", 3));
-        assert_ne!(mix(1, "a", 2), mix(1, "b", 2));
-        assert_ne!(mix(1, "a", 2), mix(2, "a", 2));
+        assert_eq!(mix(1, "a", 2), 0xff34_8301_e0d8_2733);
+        assert_eq!(mix(1, "a", 3), 0xfd47_e8a3_73c3_4c97);
+        assert_eq!(mix(1, "b", 2), 0xf19e_d877_2319_e759);
+        assert_eq!(mix(2, "a", 2), 0x28bf_0016_c090_2ce6);
     }
 
     #[test]

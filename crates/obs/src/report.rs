@@ -10,7 +10,7 @@ impl Registry {
     /// ```json
     /// {
     ///   "counters":   { "crawler.rss.torrents": 3072, ... },
-    ///   "gauges":     { "monitor.store.items": 512, ... },
+    ///   "gauges":     { "sim.torrents": 3072, ... },
     ///   "histograms": { "span.tracker.announce.ns":
     ///       { "count": 9, "sum": 1290, "max": 410, "mean": 143.3,
     ///         "p50": 101.0, "p90": 380.5, "p99": 407.1 }, ... }

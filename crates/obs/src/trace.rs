@@ -826,6 +826,7 @@ static SAMPLE_ENV: OnceLock<()> = OnceLock::new();
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
+#[inline]
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in bytes {
@@ -835,6 +836,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+#[inline]
 fn mix_hashed(seed: u64, stream_hash: u64, index: u64) -> u64 {
     let mut z = seed ^ stream_hash ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -842,12 +844,18 @@ fn mix_hashed(seed: u64, stream_hash: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Mixes `(seed, stream, index)` into a uniform `u64` — byte-for-byte
-/// the same construction as `btpub_faults::mix` (FNV-1a over the
-/// stream label, SplitMix64 finalisation mixing in the index), kept
-/// local because `obs` sits *below* `faults` in the dependency graph.
-/// Public so tests can predict exactly which draws a sampling spec
-/// keeps.
+/// Mixes `(seed, stream, index)` into a uniform `u64`: FNV-1a over the
+/// stream label, then SplitMix64 finalisation mixing in the index.
+///
+/// The workspace's one seed mixer. `btpub_faults::mix` re-exports it
+/// and `btpub_sim::rngs::derive` seeds every world RNG from it; it lives
+/// here because `obs` sits below both in the dependency graph. Stateless
+/// by construction — the value depends only on the three inputs, never
+/// on call order — which is what makes serial and parallel runs agree
+/// and lets tests predict exactly which draws a sampling spec keeps.
+/// `#[inline]` so the fault planner's per-announce draw still inlines
+/// across the crate boundary.
+#[inline]
 pub fn mix(seed: u64, stream: &str, index: u64) -> u64 {
     mix_hashed(seed, fnv1a(stream.as_bytes()), index)
 }
@@ -1649,12 +1657,11 @@ mod tests {
 
     #[test]
     fn mix_matches_the_fault_planner_construction() {
-        // Pinned values: if this moves, obs::mix and btpub_faults::mix
-        // have diverged and deterministic sampling is no longer
-        // predictable from the planner's machinery.
-        assert_eq!(mix(1, "a", 2), mix(1, "a", 2));
-        assert_ne!(mix(1, "a", 2), mix(1, "a", 3));
-        assert_ne!(mix(1, "a", 2), mix(1, "b", 2));
+        // Pinned values: if these move, every seeded world, fault plan
+        // and sampling spec moves with them.
+        assert_eq!(mix(1, "a", 2), 0xff34_8301_e0d8_2733);
+        assert_eq!(mix(1, "a", 3), 0xfd47_e8a3_73c3_4c97);
+        assert_eq!(mix(1, "b", 2), 0xf19e_d877_2319_e759);
         let hits = (0..10_000)
             .filter(|&i| mix(42, "uniformity", i) % 16 == 0)
             .count();

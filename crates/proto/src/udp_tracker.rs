@@ -174,6 +174,15 @@ fn event_from_wire(v: u32) -> Result<AnnounceEvent, UdpError> {
 }
 
 impl UdpRequest {
+    /// The client-chosen transaction id the tracker echoes.
+    pub fn transaction_id(&self) -> u32 {
+        match *self {
+            UdpRequest::Connect { transaction_id }
+            | UdpRequest::Announce { transaction_id, .. }
+            | UdpRequest::Scrape { transaction_id, .. } => transaction_id,
+        }
+    }
+
     /// Serialises the request datagram.
     pub fn encode(&self) -> Vec<u8> {
         match self {
@@ -286,6 +295,16 @@ impl UdpRequest {
 }
 
 impl UdpResponse {
+    /// The echoed transaction id, which ties a reply to its request.
+    pub fn transaction_id(&self) -> u32 {
+        match *self {
+            UdpResponse::Connect { transaction_id, .. }
+            | UdpResponse::Announce { transaction_id, .. }
+            | UdpResponse::Scrape { transaction_id, .. }
+            | UdpResponse::Error { transaction_id, .. } => transaction_id,
+        }
+    }
+
     /// Serialises the response datagram.
     pub fn encode(&self) -> Vec<u8> {
         match self {

@@ -14,17 +14,7 @@ use rand::{Rng, SeedableRng};
 
 /// Derives an independent RNG for `(stream, id)` under `master` seed.
 pub fn derive(master: u64, stream: &str, id: u64) -> StdRng {
-    // FNV-1a over the label, then SplitMix64 finalisation mixing in the id.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in stream.as_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    let mut z = master ^ h ^ id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    StdRng::seed_from_u64(z)
+    StdRng::seed_from_u64(btpub_obs::trace::mix(master, stream, id))
 }
 
 /// Samples a log-normal: `exp(N(mu, sigma))`.

@@ -39,7 +39,7 @@ pub mod livepeer;
 pub mod serve;
 pub mod sim;
 
-pub use sim::{ProbeOutcome, QueryError, ReplyCounts, TrackerReply, TrackerSim};
+pub use sim::{ProbeOutcome, QueryError, ReplyCounts, TrackerSim};
 
 /// The maximum number of peers a tracker returns per query (the value the
 /// paper's crawler always requests).

@@ -28,7 +28,7 @@ use btpub_proto::udp_tracker::{UdpRequest, UdpResponse};
 use crate::client::HttpSession;
 
 use super::script::{Op, Script};
-use super::udp_client;
+use super::udp_client::{self, bep15_txn, exchange_raw};
 use super::wire::{self, Class};
 
 /// How announces travel.
@@ -175,58 +175,9 @@ pub fn run(
     Ok(report)
 }
 
-/// Sends `datagram` and waits for a reply whose transaction id matches,
-/// walking the BEP 15 retransmit ladder. `None` = gave up.
-fn exchange_raw(
-    socket: &UdpSocket,
-    to: SocketAddr,
-    datagram: &[u8],
-    txn_of: impl Fn(&[u8]) -> Option<u32>,
-    want_txn: u32,
-    net: &NetConfig,
-    buf: &mut [u8],
-) -> std::io::Result<Option<usize>> {
-    for n in 0..=net.udp_retransmits {
-        socket.set_read_timeout(Some(net.udp_timeout(n)))?;
-        socket.send_to(datagram, to)?;
-        loop {
-            match socket.recv_from(buf) {
-                Ok((len, _)) => {
-                    // A stale reply from a timed-out earlier exchange:
-                    // keep reading inside the same attempt window.
-                    if txn_of(&buf[..len]) == Some(want_txn) {
-                        return Ok(Some(len));
-                    }
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    break
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    Ok(None)
-}
-
 /// Transaction id of a batch response (`None` for anything else).
 fn batch_txn(data: &[u8]) -> Option<u32> {
     wire::decode_batch_response(data).map(|(txn, _)| txn)
-}
-
-/// Transaction id of a BEP 15 response. Corrupted (malformed-reply)
-/// datagrams have no parseable txn, so they are matched by *not*
-/// decoding — the caller treats a garbage reply as [`Class::Malformed`].
-fn bep15_txn(data: &[u8]) -> Option<u32> {
-    match UdpResponse::decode(data) {
-        Ok(UdpResponse::Connect { transaction_id, .. })
-        | Ok(UdpResponse::Announce { transaction_id, .. })
-        | Ok(UdpResponse::Scrape { transaction_id, .. })
-        | Ok(UdpResponse::Error { transaction_id, .. }) => Some(transaction_id),
-        Err(_) => None,
-    }
 }
 
 /// UDP batch driver: packs a client partition into batch frames, one
@@ -255,7 +206,7 @@ fn udp_batch_driver(
         let frame = wire::encode_batch(*txn, pending);
         let started = std::time::Instant::now();
         match exchange_raw(&socket, to, &frame, batch_txn, *txn, &cfg.net, buf)? {
-            Some(len) => {
+            Some((len, _)) => {
                 report.latencies_ns.push(started.elapsed().as_nanos() as u64);
                 if let Some((_, outcomes)) = wire::decode_batch_response(&buf[..len]) {
                     for o in &outcomes {
@@ -368,7 +319,7 @@ fn udp_single_driver(
         }
         let started = std::time::Instant::now();
         match exchange_raw(&socket, to, &datagram, bep15_txn, txn, &cfg.net, &mut buf)? {
-            Some(len) => {
+            Some((len, _)) => {
                 report.latencies_ns.push(started.elapsed().as_nanos() as u64);
                 match UdpResponse::decode(&buf[..len]) {
                     Ok(UdpResponse::Announce { .. }) => report.classes.add(Class::Admitted),

@@ -27,44 +27,83 @@ pub struct UdpAnnounceOutcome {
     pub peers: Vec<SocketAddrV4>,
 }
 
-/// One request/response round with the BEP 15 retransmit ladder: the
-/// datagram is (re)sent up to `net.udp_retransmits + 1` times, waiting
-/// `net.udp_timeout(n)` for the reply of attempt `n`. A lost request
-/// or reply therefore costs one doubled timeout, not the whole call.
+/// One request/response round with the BEP 15 retransmit ladder (see
+/// [`exchange_raw`]): a lost request or reply costs one doubled
+/// timeout, not the whole call, and a stale reply to an earlier
+/// transaction is skipped rather than taken for this one's.
 pub fn exchange_with(
     socket: &UdpSocket,
     to: SocketAddr,
     req: &UdpRequest,
     net: &NetConfig,
 ) -> std::io::Result<UdpResponse> {
-    let encoded = req.encode();
     let mut buf = [0u8; 2048];
-    let mut last_err = None;
+    let reply = exchange_raw(
+        socket,
+        to,
+        &req.encode(),
+        bep15_txn,
+        req.transaction_id(),
+        net,
+        &mut buf,
+    )?;
+    let Some((len, attempt)) = reply else {
+        btpub_obs::static_counter!("tracker.udp.client.gaveup").inc();
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::TimedOut,
+            "udp tracker unresponsive",
+        ));
+    };
+    if attempt > 0 {
+        btpub_obs::static_counter!("tracker.udp.client.retransmits").inc();
+    }
+    UdpResponse::decode(&buf[..len])
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// Sends `datagram` and waits for a reply whose transaction id, as read
+/// by `txn_of`, is `want_txn`. The datagram is (re)sent up to
+/// `net.udp_retransmits + 1` times, waiting `net.udp_timeout(n)` for a
+/// reply to attempt `n`; replies to other transactions (a duplicate
+/// answer to an earlier, retransmitted request) are skipped inside the
+/// same attempt window. Returns the reply's length in `buf` and the
+/// attempt that got it, or `None` once the ladder is spent.
+pub(crate) fn exchange_raw(
+    socket: &UdpSocket,
+    to: SocketAddr,
+    datagram: &[u8],
+    txn_of: impl Fn(&[u8]) -> Option<u32>,
+    want_txn: u32,
+    net: &NetConfig,
+    buf: &mut [u8],
+) -> std::io::Result<Option<(usize, u32)>> {
     for n in 0..=net.udp_retransmits {
         socket.set_read_timeout(Some(net.udp_timeout(n)))?;
-        socket.send_to(&encoded, to)?;
-        match socket.recv_from(&mut buf) {
-            Ok((len, _)) => {
-                if n > 0 {
-                    btpub_obs::static_counter!("tracker.udp.client.retransmits").inc();
+        socket.send_to(datagram, to)?;
+        loop {
+            match socket.recv_from(buf) {
+                Ok((len, _)) => {
+                    if txn_of(&buf[..len]) == Some(want_txn) {
+                        return Ok(Some((len, n)));
+                    }
                 }
-                return UdpResponse::decode(&buf[..len]).map_err(|e| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string())
-                });
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    break
+                }
+                Err(e) => return Err(e),
             }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                last_err = Some(e);
-            }
-            Err(e) => return Err(e),
         }
     }
-    btpub_obs::static_counter!("tracker.udp.client.gaveup").inc();
-    Err(last_err.unwrap_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::TimedOut, "udp tracker unresponsive")
-    }))
+    Ok(None)
+}
+
+/// Transaction id of a BEP 15 response. A corrupted (malformed) reply
+/// has no parseable id, so it never matches a transaction.
+pub(crate) fn bep15_txn(data: &[u8]) -> Option<u32> {
+    UdpResponse::decode(data).ok().map(|r| r.transaction_id())
 }
 
 /// Performs the connect handshake, returning the connection id.
@@ -260,6 +299,69 @@ mod tests {
         let net = NetConfig::loopback_test();
         let cid = connect_with(&socket, tracker_addr, 9, &net).unwrap();
         assert_eq!(cid, 42);
+        handle.join().unwrap();
+    }
+
+    #[test]
+    fn duplicated_connect_reply_does_not_poison_the_announce() {
+        // A tracker that loses the first connect and answers the
+        // retransmit twice: the second connect reply is still queued on
+        // the client's socket when the announce goes out, and must be
+        // skipped as a stale transaction, not read as the announce reply.
+        let tracker = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        tracker.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let tracker_addr = tracker.local_addr().unwrap();
+        let handle = std::thread::spawn(move || {
+            let mut buf = [0u8; 2048];
+            let mut connects = 0;
+            loop {
+                let (len, from) = tracker.recv_from(&mut buf).unwrap();
+                match UdpRequest::decode(&buf[..len]).unwrap() {
+                    UdpRequest::Connect { transaction_id } => {
+                        connects += 1;
+                        if connects == 1 {
+                            continue;
+                        }
+                        let reply = UdpResponse::Connect {
+                            transaction_id,
+                            connection_id: 42,
+                        }
+                        .encode();
+                        tracker.send_to(&reply, from).unwrap();
+                        tracker.send_to(&reply, from).unwrap();
+                    }
+                    UdpRequest::Announce {
+                        connection_id,
+                        transaction_id,
+                        ..
+                    } => {
+                        assert_eq!(connection_id, 42);
+                        let reply = UdpResponse::Announce {
+                            transaction_id,
+                            interval: 1800,
+                            leechers: 3,
+                            seeders: 1,
+                            peers: Vec::new(),
+                        };
+                        tracker.send_to(&reply.encode(), from).unwrap();
+                        return;
+                    }
+                    other => panic!("unexpected request {other:?}"),
+                }
+            }
+        });
+        let out = announce_with(
+            tracker_addr,
+            InfoHash([7; 20]),
+            PeerId([1; 20]),
+            6881,
+            0,
+            AnnounceEvent::Started,
+            50,
+            &NetConfig::loopback_test(),
+        )
+        .unwrap();
+        assert_eq!((out.interval, out.leechers, out.seeders), (1800, 3, 1));
         handle.join().unwrap();
     }
 }

@@ -15,19 +15,6 @@ use crate::MAX_NUMWANT;
 /// Identifies a querying client (one crawler vantage point).
 pub use crate::enforce::ClientId;
 
-/// A tracker reply to a peer-list query.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrackerReply {
-    /// Seeder count (`complete`), publisher included when seeding.
-    pub complete: u32,
-    /// Leecher count (`incomplete`).
-    pub incomplete: u32,
-    /// Random sample of peer addresses, at most [`MAX_NUMWANT`].
-    pub peers: Vec<Ipv4Addr>,
-    /// Minimum wait before this client may query again.
-    pub min_interval: SimDuration,
-}
-
 /// Why a query was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueryError {
@@ -153,31 +140,10 @@ impl<'a> TrackerSim<'a> {
         crate::enforce::min_interval(t)
     }
 
-    /// Handles one peer-list query from `client` at time `t`.
-    ///
-    /// Allocates a fresh peer list per call; the crawler's announce loop
-    /// uses [`query_into`](Self::query_into) with a reusable buffer.
-    pub fn query(
-        &mut self,
-        client: ClientId,
-        torrent: TorrentId,
-        t: SimTime,
-        numwant: usize,
-    ) -> Result<TrackerReply, QueryError> {
-        let mut peers = Vec::new();
-        let counts = self.query_into(client, torrent, t, numwant, &mut peers)?;
-        Ok(TrackerReply {
-            complete: counts.complete,
-            incomplete: counts.incomplete,
-            peers,
-            min_interval: counts.min_interval,
-        })
-    }
-
-    /// [`query`](Self::query), allocation-free: the sampled peer list is
-    /// appended to `peers` (cleared first). With a warm buffer the
-    /// steady-state announce performs no heap allocation at all — the
-    /// `hotpath.alloc.saved` counter tracks how often that held.
+    /// Handles one peer-list query from `client` at time `t`, appending
+    /// the sampled peer list to `peers` (cleared first). With a warm
+    /// buffer the steady-state announce performs no heap allocation at
+    /// all — the `hotpath.alloc.saved` counter tracks how often that held.
     pub fn query_into(
         &mut self,
         client: ClientId,
@@ -373,6 +339,20 @@ mod tests {
         Ecosystem::generate(EcosystemConfig::tiny(70))
     }
 
+    /// One announce through [`TrackerSim::query_into`], returning the
+    /// counts with the peer list it wrote.
+    fn ask(
+        tr: &mut TrackerSim,
+        client: ClientId,
+        torrent: TorrentId,
+        t: SimTime,
+        numwant: usize,
+    ) -> Result<(ReplyCounts, Vec<Ipv4Addr>), QueryError> {
+        let mut peers = Vec::new();
+        tr.query_into(client, torrent, t, numwant, &mut peers)
+            .map(|counts| (counts, peers))
+    }
+
     #[test]
     fn query_returns_counts_and_peers() {
         let e = eco();
@@ -385,7 +365,7 @@ mod tests {
             .max_by_key(|(_, s)| s.downloads())
             .unwrap();
         let t = e.publications[idx].at + SimDuration::from_hours(2.0);
-        let reply = tr.query(1, TorrentId(idx as u32), t, 200).unwrap();
+        let (reply, peers) = ask(&mut tr, 1, TorrentId(idx as u32), t, 200).unwrap();
         let swarm = &e.swarms[idx];
         let expected_active =
             swarm.active_count(t) + usize::from(swarm.publisher_seeding(t));
@@ -393,8 +373,8 @@ mod tests {
             (reply.complete + reply.incomplete) as usize,
             expected_active
         );
-        assert!(reply.peers.len() <= 200);
-        assert!(reply.peers.len() <= expected_active);
+        assert!(peers.len() <= 200);
+        assert!(peers.len() <= expected_active);
         assert!(reply.min_interval >= SimDuration(600));
         assert!(reply.min_interval <= SimDuration(900));
     }
@@ -403,8 +383,8 @@ mod tests {
     fn numwant_caps_at_protocol_maximum() {
         let e = eco();
         let mut tr = TrackerSim::new(&e);
-        let reply = tr.query(1, TorrentId(0), e.publications[0].at, 100_000).unwrap();
-        assert!(reply.peers.len() <= MAX_NUMWANT);
+        let (_, peers) = ask(&mut tr, 1, TorrentId(0), e.publications[0].at, 100_000).unwrap();
+        assert!(peers.len() <= MAX_NUMWANT);
     }
 
     #[test]
@@ -412,8 +392,8 @@ mod tests {
         let e = eco();
         let mut tr = TrackerSim::new(&e);
         let t0 = e.publications[0].at;
-        tr.query(1, TorrentId(0), t0, 50).unwrap();
-        let err = tr.query(1, TorrentId(0), t0 + SimDuration(60), 50);
+        ask(&mut tr, 1, TorrentId(0), t0, 50).unwrap();
+        let err = ask(&mut tr, 1, TorrentId(0), t0 + SimDuration(60), 50);
         match err {
             Err(QueryError::RateLimited { retry_at }) => {
                 assert!(retry_at > t0 + SimDuration(60));
@@ -422,11 +402,11 @@ mod tests {
             other => panic!("expected rate limit, got {other:?}"),
         }
         // A different torrent is fine.
-        assert!(tr.query(1, TorrentId(1), t0 + SimDuration(60), 50).is_ok());
+        assert!(ask(&mut tr, 1, TorrentId(1), t0 + SimDuration(60), 50).is_ok());
         // A different client is fine.
-        assert!(tr.query(2, TorrentId(0), t0 + SimDuration(60), 50).is_ok());
+        assert!(ask(&mut tr, 2, TorrentId(0), t0 + SimDuration(60), 50).is_ok());
         // After the interval the same client may re-query.
-        assert!(tr.query(1, TorrentId(0), t0 + SimDuration(901), 50).is_ok());
+        assert!(ask(&mut tr, 1, TorrentId(0), t0 + SimDuration(901), 50).is_ok());
     }
 
     #[test]
@@ -434,10 +414,10 @@ mod tests {
         let e = eco();
         let mut tr = TrackerSim::new(&e);
         let t0 = e.publications[0].at;
-        tr.query(9, TorrentId(0), t0, 50).unwrap();
+        ask(&mut tr, 9, TorrentId(0), t0, 50).unwrap();
         let mut blacklisted = false;
         for i in 1..100u64 {
-            match tr.query(9, TorrentId(0), t0 + SimDuration(i), 50) {
+            match ask(&mut tr, 9, TorrentId(0), t0 + SimDuration(i), 50) {
                 Err(QueryError::Blacklisted) => {
                     blacklisted = true;
                     break;
@@ -449,7 +429,7 @@ mod tests {
         assert!(blacklisted);
         assert!(tr.is_blacklisted(9));
         // Polite clients are unaffected.
-        assert!(tr.query(10, TorrentId(0), t0 + SimDuration(100), 50).is_ok());
+        assert!(ask(&mut tr, 10, TorrentId(0), t0 + SimDuration(100), 50).is_ok());
     }
 
     #[test]
@@ -457,7 +437,7 @@ mod tests {
         let e = eco();
         let mut tr = TrackerSim::new(&e);
         assert_eq!(
-            tr.query(1, TorrentId(u32::MAX), SimTime(0), 50),
+            ask(&mut tr, 1, TorrentId(u32::MAX), SimTime(0), 50),
             Err(QueryError::UnknownTorrent)
         );
     }
@@ -483,9 +463,9 @@ mod tests {
             let t = start + SimDuration(30);
             if swarm.publisher_seeding(t) && swarm.active_count(t) < 10 {
                 candidates += 1;
-                let reply = tr.query(77, TorrentId(i as u32), t, 200).unwrap();
+                let (_, peers) = ask(&mut tr, 77, TorrentId(i as u32), t, 200).unwrap();
                 let pub_ip = e.publisher_addr(TorrentId(i as u32), t);
-                if reply.peers.contains(&pub_ip) {
+                if peers.contains(&pub_ip) {
                     publisher_seen += 1;
                 }
             }
@@ -538,8 +518,8 @@ mod tests {
         let mut clean = TrackerSim::new(&e);
         let t = e.publications[0].at + SimDuration(60);
         assert_eq!(
-            faulty.query(1, TorrentId(0), t, 50),
-            clean.query(1, TorrentId(0), t, 50),
+            ask(&mut faulty, 1, TorrentId(0), t, 50),
+            ask(&mut clean, 1, TorrentId(0), t, 50),
         );
         assert!(faulty.fault_plan().is_none(), "clean plan is dropped");
     }
@@ -555,7 +535,7 @@ mod tests {
         for client in 0..40u32 {
             for i in 0..20u64 {
                 let t = SimTime(i * 7200 + u64::from(client));
-                match tr.query(client, TorrentId((i % 4) as u32), t, 50) {
+                match ask(&mut tr, client, TorrentId((i % 4) as u32), t, 50) {
                     Err(QueryError::TrackerDown { retry_at }) => {
                         assert!(retry_at > t, "retry_at must be in the future");
                         down += 1;
@@ -589,8 +569,8 @@ mod tests {
             for i in 0..10u64 {
                 let t = SimTime(i * 3600);
                 assert_eq!(
-                    a.query(client, TorrentId(0), t, 50),
-                    b.query(client, TorrentId(0), t, 50),
+                    ask(&mut a, client, TorrentId(0), t, 50),
+                    ask(&mut b, client, TorrentId(0), t, 50),
                 );
             }
         }
@@ -609,12 +589,12 @@ mod tests {
         'search: for client in 0..200u32 {
             for i in 0..50u64 {
                 let t = t0 + SimDuration(i * 3600);
-                if let Err(QueryError::Dropped) = tr.query(client, TorrentId(0), t, 50) {
+                if let Err(QueryError::Dropped) = ask(&mut tr, client, TorrentId(0), t, 50) {
                     // An immediate retry must not be rate-limited for the
                     // dropped attempt (it may hit another injected fault,
                     // but never RateLimited from state the drop created).
                     if let Err(QueryError::RateLimited { .. }) =
-                        tr.query(client, TorrentId(0), t + SimDuration(1), 50)
+                        ask(&mut tr, client, TorrentId(0), t + SimDuration(1), 50)
                     {
                         panic!("dropped announce mutated rate-limit state")
                     }

@@ -1,75 +1,97 @@
 //! The §7 application as a long-running daemon: continuous monitoring of
-//! a live portal, with the query interface a web front-end would call.
+//! a live portal, with the query interface a web front-end would call,
+//! answered from the streamed aggregates `btpub-monitor` keeps.
 //!
 //! ```text
 //! cargo run --release --example monitor_daemon
 //! ```
+//!
+//! `btpub-monitor --json PATH` is the daemon's persistence path: one
+//! NDJSON line per monitored item.
 
+use std::net::Ipv4Addr;
+
+use btpub::analysis::fake::Group;
 use btpub::sim::content::Category;
-use btpub::sim::{Ecosystem, SimTime, DAY};
-use btpub::{Scale, Scenario};
-use btpub_monitor::{query, Monitor};
+use btpub::{Scale, Scenario, StreamOptions, StreamStudy};
 
 fn main() {
     let scenario = Scenario::pb10(Scale::tiny());
-    let eco = Ecosystem::generate(scenario.eco.clone());
-    let mut monitor = Monitor::new(&eco);
-
-    // The daemon's main loop: wake up every simulated day, ingest the
-    // feed, answer some standing queries.
-    let horizon = eco.config.horizon();
-    let mut t = SimTime::ZERO;
-    while t < horizon {
-        t = (t + DAY).min(horizon);
-        monitor.step(t);
-    }
-    let store = monitor.store();
+    // The daemon's main loop: the crawl follows the feed and folds each
+    // finished item into the publisher database as it goes.
+    let study = StreamStudy::run(&scenario, &StreamOptions::default());
+    let s = &study.analyses;
+    let is_fake = |p: &&btpub::analysis::PublisherStats| {
+        s.groups.contains(&p.key, Group::Fake)
+    };
     println!(
         "monitored {:.0} days: {} items, {} publishers ({} flagged fake)\n",
-        t.as_days(),
-        store.len(),
-        store.publishers().count(),
-        store.publishers().filter(|p| p.flagged_fake).count()
+        scenario.crawler.effective_horizon(&study.eco).as_days(),
+        s.totals.torrents_total,
+        s.publishers.len(),
+        s.publishers.iter().filter(is_fake).count()
     );
 
     // Query 1 (the paper's own example): an e-books consumer finds the
     // publishers responsible for large numbers of e-books.
     println!("top e-book publishers:");
-    for (user, count) in query::top_publishers_in_category(store, Category::Books, 5) {
+    let mut books: Vec<(String, usize)> = s
+        .publishers
+        .iter()
+        .map(|p| {
+            let count = p
+                .torrents
+                .iter()
+                .filter(|&&t| s.categories[t] == Category::Books)
+                .count();
+            (p.key.to_string(), count)
+        })
+        .filter(|(_, count)| *count > 0)
+        .collect();
+    books.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    for (user, count) in books.into_iter().take(5) {
         println!("  {user:<22} {count} books");
     }
 
-    // Query 2: per-publisher pages for profit-driven publishers.
+    // Query 2: per-publisher pages for profit-driven publishers, from
+    // the §5.1 classification of the top set.
     println!("\nprofit-driven publisher pages:");
-    for page in store
-        .publishers()
-        .filter(|p| p.business.is_some())
+    for c in s
+        .classified
+        .iter()
+        .filter(|c| c.url.is_some() && c.class.is_profit_driven())
         .take(8)
     {
+        let page = s.publishers.iter().find(|p| p.key == c.key);
         println!(
-            "  {:<22} {:<14} {} ({} items, {} IPs)",
-            page.username,
-            page.business.as_deref().unwrap_or("-"),
-            page.promo_url.as_deref().unwrap_or("-"),
-            page.items.len(),
-            page.ips.len()
+            "  {:<22} {:<15} {} ({} items, {} IPs)",
+            c.key.to_string(),
+            c.class.label(),
+            c.url.as_deref().unwrap_or("-"),
+            page.map_or(0, |p| p.content_count()),
+            page.map_or(0, |p| p.ips.len())
         );
     }
 
     // Query 3: who publishes from OVH?
-    let ovh = query::publishers_by_isp(store, "OVH");
-    println!("\n{} publishers seen publishing from OVH", ovh.len());
+    let db = &study.eco.world.db;
+    let ovh = s
+        .publishers
+        .iter()
+        .filter(|p| {
+            p.ips.iter().any(|&ip| {
+                db.lookup(Ipv4Addr::from(ip))
+                    .is_some_and(|info| db.isp(info.isp).name == "OVH")
+            })
+        })
+        .count();
+    println!("\n{ovh} publishers seen publishing from OVH");
 
     // Query 4: the clean top-10 (fake publishers filtered out).
     println!("\ntop clean publishers:");
-    for page in query::top_clean_publishers(store, 10) {
-        println!("  {:<22} {} items", page.username, page.items.len());
+    for p in s.publishers.iter().filter(|p| !is_fake(p)).take(10) {
+        println!("  {:<22} {} items", p.key.to_string(), p.content_count());
     }
-
-    // Persist the database the way the real system backed its web UI.
-    let path = std::env::temp_dir().join("btpub-monitor-store.json");
-    std::fs::write(&path, store.to_json()).expect("write store");
-    println!("\nstore persisted to {}", path.display());
 
     // Where the time and work went, from the observability layer.
     eprintln!("\n{}", btpub_obs::text_report(btpub_obs::global()));

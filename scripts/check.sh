@@ -262,6 +262,19 @@ echo "== live crawl: the live crawler against the tracker daemon =="
 # every swarm's seeder and exits nonzero when it does not.
 cargo run --release --offline --quiet --example live_tracker >/dev/null
 
+echo "== §7 monitor examples: fake detector and query interface =="
+# Both run on the streamed aggregates btpub-monitor folds. fake_detection
+# asserts the detector's precision and recall thresholds (those of
+# tests/validation_ground_truth.rs) and exits nonzero when they fail.
+cargo run --release --offline --quiet --example fake_detection >/dev/null
+if ! cargo run --release --offline --quiet --example monitor_daemon \
+    >/dev/null 2> "$tmpdir/monitor-daemon-err.txt"; then
+    echo "FAIL: monitor_daemon example failed:" >&2
+    cat "$tmpdir/monitor-daemon-err.txt" >&2
+    exit 1
+fi
+echo "fake detector holds its thresholds; the query interface answers"
+
 echo "== crash-resume gate: seeded kill mid-campaign, resume, byte-diff =="
 # Arm a deterministic abort at the 128th fold, run with checkpoints, and
 # prove the resumed run's stdout is byte-identical to the uninterrupted

@@ -4,7 +4,6 @@
 //! demonstrably recovers the truth from samples.
 
 use btpub::{Scale, Scenario, Study};
-use btpub_monitor::Monitor;
 
 fn study() -> &'static Study {
     static STUDY: std::sync::OnceLock<Study> = std::sync::OnceLock::new();
@@ -84,8 +83,7 @@ fn multi_seeded_fake_swarms_defeat_identification() {
 fn fake_detector_precision_and_recall() {
     let study = study();
     let eco = &study.eco;
-    let mut monitor = Monitor::new(eco);
-    monitor.step(eco.config.horizon());
+    let flagged = &study.analyze().analyses.groups.fake_usernames;
     let truth: std::collections::HashSet<&str> = eco
         .publishers
         .iter()
@@ -99,16 +97,10 @@ fn fake_detector_precision_and_recall() {
         .filter(|p| p.fake)
         .map(|p| p.username.as_str())
         .collect();
-    let flagged: Vec<&str> = monitor
-        .store()
-        .publishers()
-        .filter(|p| p.flagged_fake)
-        .map(|p| p.username.as_str())
-        .collect();
     assert!(!flagged.is_empty());
-    let correct = flagged.iter().filter(|u| truth.contains(**u)).count();
+    let correct = flagged.iter().filter(|u| truth.contains(u.as_str())).count();
     let precision = correct as f64 / flagged.len() as f64;
-    let recall = active_fake.iter().filter(|u| flagged.contains(&**u)).count() as f64
+    let recall = active_fake.iter().filter(|u| flagged.contains(**u)).count() as f64
         / active_fake.len() as f64;
     assert!(precision > 0.95, "precision {precision:.2}");
     assert!(recall > 0.85, "recall {recall:.2}");
