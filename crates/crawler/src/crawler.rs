@@ -4,6 +4,7 @@ use std::net::Ipv4Addr;
 
 use btpub_faults::{CircuitBreaker, FaultPlan, FaultProfile, RetryPolicy};
 use btpub_fxhash::FxHashMap;
+use btpub_obs::span::Laps;
 use btpub_portal::Portal;
 use btpub_sim::engine::EventQueue;
 use btpub_sim::{Ecosystem, SimDuration, SimTime, TorrentId, MINUTE};
@@ -212,6 +213,19 @@ fn finalize_record(mut st: TorrentState, portal: &Portal, horizon: SimTime) -> T
     st.record
 }
 
+/// Folds the crawl loop's per-event meters into the registry: the tick
+/// laps (`span.sim.engine.tick.*`, credited to the enclosing
+/// `crawler.run` frame), `crawler.query.total`, and the tracker's
+/// announce meters. The loop calls it at every RSS poll and at crawl
+/// end, so a live reader of these metrics lags by at most one poll.
+fn fold_meters(ticks: &mut Laps, queries: &mut u64, tracker: &mut TrackerSim) {
+    ticks.fold();
+    if *queries > 0 {
+        btpub_obs::static_counter!("crawler.query.total").add(std::mem::take(queries));
+    }
+    tracker.fold_meters();
+}
+
 /// Runs a full measurement campaign against an ecosystem, materializing
 /// the full [`Dataset`] (a [`CollectSink`] over [`run_crawl_with`]).
 ///
@@ -265,6 +279,14 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
     let mut last_poll = SimTime::ZERO;
     queue.schedule(SimTime::ZERO + cfg.rss_poll, Event::RssPoll);
 
+    // The loop's per-event meters: one engine tick = one event dispatch,
+    // timed as a lap that ends when the dispatch does (so it also holds
+    // the pop and the checks before it: starting it after them would
+    // cost a second clock read per event), and the queries sent. Both
+    // are folded into the registry at every RSS poll and at crawl end,
+    // with the tracker's (see `fold_meters`).
+    let mut ticks = btpub_obs::laps!("sim.engine.tick");
+    let mut queries = 0u64;
     let mut stopped_early = false;
     while let Some((now, event)) = queue.pop() {
         if now > horizon {
@@ -277,22 +299,17 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
             stopped_early = true;
             break;
         }
-        // One engine tick = one event dispatch; the guard records even on
-        // the `continue` exits below.
-        let _tick = btpub_obs::span!("sim.engine.tick");
         match event {
             Event::RssPoll => {
+                fold_meters(&mut ticks, &mut queries, &mut tracker);
+                'poll: {
                 let Ok(items) = portal.try_rss(last_poll, now) else {
                     // Feed outage: `last_poll` stays put, so the next poll
                     // re-covers this window and no announcement is lost —
                     // only discovered late (a genuinely delayed pounce, as
                     // the paper's crawler suffered during portal outages).
                     btpub_obs::static_counter!("crawler.rss.outages").inc();
-                    let next = now + cfg.rss_poll;
-                    if next <= horizon {
-                        queue.schedule(next, Event::RssPoll);
-                    }
-                    continue;
+                    break 'poll;
                 };
                 let mut batch = 0u64;
                 for item in items {
@@ -349,6 +366,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                 btpub_obs::trace_count!("crawler.torrents.discovered", order.len() as u64);
                 btpub_obs::trace!("rss poll"; at = now.0, batch = batch);
                 last_poll = now;
+                } // end 'poll
                 let next = now + cfg.rss_poll;
                 if next <= horizon {
                     queue.schedule(next, Event::RssPoll);
@@ -429,7 +447,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                     break 'query;
                 }
                 // Round-robin over vantage points; each is a tracker client.
-                btpub_obs::static_counter!("crawler.query.total").inc();
+                queries += 1;
                 let client: ClientId = round % cfg.vantage_points;
                 let reply = match tracker.query_into(client, torrent, now, cfg.numwant, &mut peers)
                 {
@@ -656,11 +674,15 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                 // its predecessors emit) immediately, freeing its state.
                 if states.get(&torrent).is_some_and(|s| s.done) {
                     let st = states.remove(&torrent).expect("checked above");
+                    tracker.release(torrent);
                     emitter.finish(st, &portal, horizon, sink);
                 }
             }
         }
+        ticks.lap();
     }
+    fold_meters(&mut ticks, &mut queries, &mut tracker);
+    drop(ticks);
 
     // Torrents still alive at the horizon finalize now, in announcement
     // order; the emitter's reorder buffer interleaves the stragglers. A

@@ -33,6 +33,7 @@
 //! btpub_obs::info!("demo step finished"; widgets = 3);
 //! ```
 
+pub mod clock;
 pub mod log;
 pub mod manifest;
 pub mod metrics;
@@ -42,7 +43,7 @@ pub mod span;
 pub mod trace;
 
 pub use log::{set_level, Level};
-pub use metrics::{Counter, Gauge, Histogram};
+pub use metrics::{Counter, Gauge, Histogram, LocalHistogram};
 pub use registry::{global, Registry};
 pub use report::text_report;
 pub use span::SpanGuard;
@@ -71,10 +72,11 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     global().histogram(name)
 }
 
-/// Seconds elapsed since the process-wide observability clock started
-/// (first use of anything in this crate). Used by the log line prefix.
+/// Seconds elapsed since the process-wide observability epoch (the
+/// first log line, trace event or uptime read). Used by the log line
+/// prefix.
 pub fn uptime_secs() -> f64 {
-    registry::start_instant().elapsed().as_secs_f64()
+    clock::to_epoch(clock::now()) as f64 * 1e-9
 }
 
 /// `counter("name")` with the registry lookup done once per call site —

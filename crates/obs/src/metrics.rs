@@ -220,6 +220,24 @@ impl Histogram {
         self.max() as f64
     }
 
+    /// Adds everything `local` recorded since its last fold to this
+    /// histogram and empties `local`. One atomic add per non-empty
+    /// bucket, so a loop folding at its checkpoints pays for the
+    /// buckets its samples hit, not for every sample.
+    pub fn absorb(&self, local: &mut LocalHistogram) {
+        if local.count == 0 {
+            return;
+        }
+        for (i, n) in local.buckets.iter_mut().enumerate() {
+            if *n > 0 {
+                self.buckets[i].fetch_add(std::mem::take(n), Ordering::Relaxed);
+            }
+        }
+        self.count.fetch_add(std::mem::take(&mut local.count), Ordering::Relaxed);
+        self.sum.fetch_add(std::mem::take(&mut local.sum), Ordering::Relaxed);
+        self.max.fetch_max(std::mem::take(&mut local.max), Ordering::Relaxed);
+    }
+
     /// Raw bucket counts (index = log2 bucket), for export.
     pub fn bucket_counts(&self) -> Vec<(u64, u64)> {
         (0..BUCKETS)
@@ -228,6 +246,50 @@ impl Histogram {
                 (c > 0).then(|| (Self::bucket_bounds(i).0, c))
             })
             .collect()
+    }
+}
+
+/// A [`Histogram`] a single owner records into with plain integer
+/// adds: same log2 buckets, no atomics. Hot loops keep one in a field
+/// and [`Histogram::absorb`] it into the registry at their checkpoints,
+/// so a reader of the shared histogram lags by at most one checkpoint.
+#[derive(Debug)]
+pub struct LocalHistogram {
+    buckets: [u64; BUCKETS],
+    count: u64,
+    sum: u64,
+    max: u64,
+}
+
+impl Default for LocalHistogram {
+    fn default() -> Self {
+        LocalHistogram {
+            buckets: [0; BUCKETS],
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+}
+
+impl LocalHistogram {
+    /// Records one sample.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.buckets[Histogram::bucket_of(v)] += 1;
+        self.count += 1;
+        self.sum = self.sum.wrapping_add(v);
+        self.max = self.max.max(v);
+    }
+
+    /// Samples recorded since the last fold.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Sum of the samples recorded since the last fold.
+    pub fn sum(&self) -> u64 {
+        self.sum
     }
 }
 
@@ -379,6 +441,28 @@ mod tests {
         assert_eq!(h.quantile(0.5), 0.0);
         assert_eq!(h.mean(), 0.0);
         assert!(h.bucket_counts().is_empty());
+    }
+
+    #[test]
+    fn absorbing_a_local_histogram_equals_recording_directly() {
+        let direct = Histogram::new();
+        let folded = Histogram::new();
+        let mut local = LocalHistogram::default();
+        for (i, v) in [0u64, 1, 3, 700, 700, 1 << 40, 5, 999].into_iter().enumerate() {
+            direct.record(v);
+            local.record(v);
+            // Fold at uneven checkpoints: nothing is dropped or doubled.
+            if i % 3 == 2 {
+                folded.absorb(&mut local);
+                assert_eq!((local.count(), local.sum()), (0, 0));
+            }
+        }
+        folded.absorb(&mut local);
+        folded.absorb(&mut local);
+        assert_eq!(folded.count(), direct.count());
+        assert_eq!(folded.sum(), direct.sum());
+        assert_eq!(folded.max(), direct.max());
+        assert_eq!(folded.bucket_counts(), direct.bucket_counts());
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock, RwLock};
-use std::time::Instant;
 
 use crate::metrics::{Counter, Gauge, Histogram};
 
@@ -95,12 +94,6 @@ impl Registry {
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::default)
-}
-
-/// Process-wide monotonic epoch for log timestamps.
-pub(crate) fn start_instant() -> Instant {
-    static START: OnceLock<Instant> = OnceLock::new();
-    *START.get_or_init(Instant::now)
 }
 
 #[cfg(test)]

@@ -7,12 +7,18 @@
 //! parent subtract its children, so a report sorted by self time points
 //! at the code that actually burned the cycles rather than at every
 //! ancestor of it.
+//!
+//! A loop that runs millions of times a study times its iterations as
+//! [`Laps`] instead: one integer-clock read per iteration, recorded into
+//! a histogram the loop owns and folded into the same two metrics (and
+//! the parent frame's child time) at the loop's checkpoints, so the
+//! registry sees exactly what per-iteration spans would have recorded.
 
 use std::cell::RefCell;
 use std::sync::Arc;
-use std::time::Instant;
 
-use crate::metrics::{Counter, Histogram};
+use crate::clock;
+use crate::metrics::{Counter, Histogram, LocalHistogram};
 use crate::registry::global;
 
 thread_local! {
@@ -53,7 +59,8 @@ impl SpanTarget {
 /// macro hands them out.
 pub struct SpanGuard {
     target: &'static SpanTarget,
-    start: Instant,
+    /// [`clock::now`] at entry.
+    start: u64,
 }
 
 impl SpanGuard {
@@ -63,14 +70,14 @@ impl SpanGuard {
         STACK.with_borrow_mut(|s| s.push(0));
         SpanGuard {
             target,
-            start: Instant::now(),
+            start: clock::now(),
         }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let total_ns = self.start.elapsed().as_nanos() as u64;
+        let total_ns = clock::now().saturating_sub(self.start);
         // Pop this frame's accumulated child time and credit this span's
         // total to the parent frame, if any, in one stack access.
         let child_ns = STACK.with_borrow_mut(|s| {
@@ -87,13 +94,79 @@ impl Drop for SpanGuard {
         // Flight recorder: a complete ("X") event carrying start +
         // duration, emitted at drop so a wrapped ring can never hold an
         // unbalanced begin/end pair. One relaxed load when tracing is
-        // off (the check inside record_complete).
-        if crate::trace::enabled() {
-            // instant_ns: pure arithmetic against the epoch — the span
-            // already paid its two clock reads (enter + drop).
-            let start_ns = crate::trace::instant_ns(self.start);
-            crate::trace::record_complete(self.target.sym, start_ns, total_ns);
+        // off; armed, the epoch offset is one subtraction from the
+        // reading the span already paid for.
+        crate::trace::record_complete_since(self.target.sym, self.start, total_ns);
+    }
+}
+
+/// A span timed as the laps of a loop: each [`Laps::lap`] closes one
+/// iteration with a single [`clock::now`] read (the next lap starts
+/// where this one ended) and records it into a histogram the loop owns.
+/// [`Laps::fold`] moves what the laps gathered into the span's
+/// `span.<name>.ns` histogram and `span.<name>.self_ns` counter and
+/// credits their total to the enclosing span's frame, exactly what one
+/// [`SpanGuard`] per iteration would have recorded. Spans opened inside
+/// a lap count as its children.
+///
+/// Armed, every lap is still one complete trace event. Fold at the
+/// loop's checkpoints and between laps only (no span of the loop body
+/// open); dropping folds the rest. Like a [`SpanGuard`], a `Laps` must
+/// drop in LIFO order with the spans around it.
+pub struct Laps {
+    target: &'static SpanTarget,
+    laps: LocalHistogram,
+    /// [`clock::now`] at the end of the previous lap.
+    last: u64,
+}
+
+impl Laps {
+    /// Starts the first lap against pre-resolved metric handles; prefer
+    /// the [`crate::laps!`] macro.
+    pub fn start(target: &'static SpanTarget) -> Laps {
+        STACK.with_borrow_mut(|s| s.push(0));
+        Laps {
+            target,
+            laps: LocalHistogram::default(),
+            last: clock::now(),
         }
+    }
+
+    /// Ends the current lap and starts the next one.
+    #[inline]
+    pub fn lap(&mut self) {
+        let now = clock::now();
+        let dur = now.saturating_sub(self.last);
+        self.laps.record(dur);
+        crate::trace::record_complete_since(self.target.sym, self.last, dur);
+        self.last = now;
+    }
+
+    /// Folds the laps recorded since the last fold into the registry and
+    /// the enclosing frame.
+    pub fn fold(&mut self) {
+        if self.laps.count() == 0 {
+            return;
+        }
+        let total_ns = self.laps.sum();
+        let child_ns = STACK.with_borrow_mut(|s| {
+            let n = s.len();
+            if n >= 2 {
+                s[n - 2] += total_ns;
+            }
+            s.last_mut().map_or(0, std::mem::take)
+        });
+        self.target.total.absorb(&mut self.laps);
+        self.target
+            .self_ns
+            .add(total_ns.saturating_sub(child_ns));
+    }
+}
+
+impl Drop for Laps {
+    fn drop(&mut self) {
+        self.fold();
+        STACK.with_borrow_mut(|s| s.pop());
     }
 }
 
@@ -111,10 +184,23 @@ macro_rules! span {
     }};
 }
 
+/// Starts a lap timer: `let mut ticks = btpub_obs::laps!("sim.engine.tick");`
+/// then `ticks.lap()` at the end of every iteration. Records into the
+/// same metrics [`span!`](crate::span) would; the registry lookup runs
+/// once per call site.
+#[macro_export]
+macro_rules! laps {
+    ($name:expr) => {{
+        static TARGET: ::std::sync::OnceLock<$crate::span::SpanTarget> =
+            ::std::sync::OnceLock::new();
+        $crate::span::Laps::start(TARGET.get_or_init(|| $crate::span::SpanTarget::lookup($name)))
+    }};
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     fn spin(d: Duration) {
         let end = Instant::now() + d;
@@ -147,6 +233,40 @@ mod tests {
         // A leaf span's self time is its total time.
         assert_eq!(inner_self, inner_total);
         assert_eq!(reg.histogram("span.test.outer.ns").count(), 1);
+    }
+
+    #[test]
+    fn laps_record_what_per_iteration_spans_would() {
+        {
+            let _outer = crate::span!("test.laps_outer");
+            let mut laps = crate::laps!("test.laps");
+            for i in 0..6 {
+                spin(Duration::from_micros(200));
+                if i == 2 {
+                    let _inner = crate::span!("test.laps_inner");
+                    spin(Duration::from_millis(2));
+                }
+                laps.lap();
+                if i == 3 {
+                    laps.fold();
+                }
+            }
+        }
+        let reg = global();
+        let laps = reg.histogram("span.test.laps.ns");
+        let inner = reg.histogram("span.test.laps_inner.ns").sum();
+        // One sample per lap, however many folds.
+        assert_eq!(laps.count(), 6);
+        assert!(laps.sum() >= 6 * 200_000 + inner, "laps {}ns", laps.sum());
+        // The inner span is the laps' child, not the outer span's.
+        assert_eq!(
+            reg.counter("span.test.laps.self_ns").value(),
+            laps.sum() - inner
+        );
+        // The laps are the outer span's child time.
+        let outer_total = reg.histogram("span.test.laps_outer.ns").sum();
+        let outer_self = reg.counter("span.test.laps_outer.self_ns").value();
+        assert_eq!(outer_self, outer_total - laps.sum());
     }
 
     #[test]

@@ -34,8 +34,9 @@
 //! * **Coarse batched clock.** Instants reuse a cached timestamp that
 //!   is re-read from the monotonic clock only every [`CLOCK_REFRESH`]
 //!   events (and at the start of each batch); span/complete events
-//!   carry timestamps the caller already paid for (`Instant` arithmetic
-//!   via [`instant_ns`]) and advance the cached clock for free.
+//!   carry timestamps the caller already paid for (one subtraction from
+//!   a [`crate::clock::now`] reading) and advance the cached clock for
+//!   free.
 //! * **Packed 16-byte ring slots.** Rings store events as a `u32`
 //!   microsecond delta against a per-ring epoch (rebased if a ring ever
 //!   spans more than ~71 minutes), a packed `sym`+kind word and the
@@ -226,28 +227,10 @@ fn init_from_env() -> bool {
 }
 
 /// Nanoseconds since the process observability epoch (the same clock
-/// the log-line prefix uses).
+/// the log-line prefix uses), read from the integer clock.
 #[inline]
 pub fn now_ns() -> u64 {
-    dur_ns(crate::registry::start_instant().elapsed())
-}
-
-/// `Duration` → u64 nanoseconds without the u128 round-trip of
-/// `as_nanos` — this runs inside every armed event site.
-#[inline]
-fn dur_ns(d: std::time::Duration) -> u64 {
-    d.as_secs()
-        .wrapping_mul(1_000_000_000)
-        .wrapping_add(u64::from(d.subsec_nanos()))
-}
-
-/// Nanoseconds from the observability epoch to `at`, for hot sites
-/// that already hold an `Instant` and must not pay a second clock
-/// read: pure `Instant` arithmetic, no syscall.
-#[inline]
-pub fn instant_ns(at: std::time::Instant) -> u64 {
-    at.checked_duration_since(crate::registry::start_instant())
-        .map_or(0, dur_ns)
+    crate::clock::to_epoch(crate::clock::now())
 }
 
 /// An interned event name: 4 bytes in the event, resolved back to the
@@ -633,6 +616,9 @@ fn with_stage(f: impl FnOnce(&'static ThreadBuf, &mut Stage)) {
     });
 }
 
+/// Moves the staged batch into the shared ring. Once per
+/// [`STAGE_FLUSH`] events, so kept out of line of the staging path.
+#[cold]
 fn flush_stage(tb: &ThreadBuf, stage: &mut Stage) {
     if stage.buf.is_empty() && stage.capped == 0 {
         return;
@@ -744,41 +730,29 @@ pub fn record_named(name: &str, kind: EventKind, payload: u64) {
 }
 
 /// Records a complete span event: `start_ns` relative to the epoch
-/// plus its duration — timestamps the caller derived from an `Instant`
-/// it already held, so this path never reads the clock. The event's
-/// end advances the thread's coarse clock for free. No-op (one relaxed
-/// load) when off.
+/// plus its duration — timestamps the caller derived from a clock
+/// reading it already held, so this path never reads the clock. The
+/// event's end advances the thread's coarse clock for free. No-op (one
+/// relaxed load) when off.
 #[inline]
 pub fn record_complete(sym: Sym, start_ns: u64, dur_ns: u64) {
-    let mut hot = HOT.load(Ordering::Relaxed);
-    if hot & HOT_ON == 0 {
-        if hot & HOT_INIT != 0 || !enabled() {
-            return;
-        }
-        hot = HOT.load(Ordering::Relaxed);
-    }
-    if hot & HOT_SAMPLED != 0 && !keep(sym) {
-        return;
-    }
-    with_stage(|tb, stage| {
-        let end_ns = start_ns.saturating_add(dur_ns);
-        if end_ns > stage.coarse_ns {
-            stage.coarse_ns = end_ns;
-        }
-        if hot & HOT_CAPPED != 0 && !cap_admits(stage, end_ns) {
-            return;
-        }
-        stage_push(tb, stage, start_ns, pack_sym_kind(sym, EventKind::Complete), dur_ns);
-    });
+    record_complete_with(sym, || start_ns, dur_ns);
 }
 
-/// [`record_complete`] for sites that hold the span's start `Instant`:
-/// the epoch conversion runs *after* the one-load gate, so a disarmed
-/// site pays exactly one relaxed load and an armed site skips the
-/// separate `enabled()` check it would otherwise need to make the
-/// conversion conditional.
+/// [`record_complete`] for sites timed on the integer clock: `start`
+/// is a [`crate::clock::now`] reading. The epoch conversion, one
+/// subtraction, runs *after* the one-load gate, so a disarmed site pays
+/// exactly one relaxed load and an armed site needs no separate
+/// `enabled()` check to make the conversion conditional.
 #[inline]
-pub fn record_complete_at(sym: Sym, start: std::time::Instant, dur_ns: u64) {
+pub fn record_complete_since(sym: Sym, start: u64, dur_ns: u64) {
+    record_complete_with(sym, || crate::clock::to_epoch(start), dur_ns);
+}
+
+/// The gate and staging shared by the complete-event entry points;
+/// `start_ns` runs only when the event is admitted.
+#[inline]
+fn record_complete_with(sym: Sym, start_ns: impl FnOnce() -> u64, dur_ns: u64) {
     let mut hot = HOT.load(Ordering::Relaxed);
     if hot & HOT_ON == 0 {
         if hot & HOT_INIT != 0 || !enabled() {
@@ -789,7 +763,7 @@ pub fn record_complete_at(sym: Sym, start: std::time::Instant, dur_ns: u64) {
     if hot & HOT_SAMPLED != 0 && !keep(sym) {
         return;
     }
-    let start_ns = instant_ns(start);
+    let start_ns = start_ns();
     with_stage(|tb, stage| {
         let end_ns = start_ns.saturating_add(dur_ns);
         if end_ns > stage.coarse_ns {

@@ -1,8 +1,9 @@
 //! A small generic discrete-event engine.
 //!
 //! The ecosystem traces are precomputed (see [`crate::swarm`]), so the
-//! event queue's customers are the *measurement* components: the crawler's
-//! RSS polls and per-swarm tracker queries, and the §7 monitor daemon.
+//! event queue's customer is the *measurement* side: the crawler's RSS
+//! polls and per-swarm tracker queries, which it pops and dispatches in
+//! its own loop.
 //! Events with equal timestamps pop in insertion order, which keeps runs
 //! deterministic.
 
@@ -90,11 +91,6 @@ impl<E> EventQueue<E> {
         Some((entry.at, entry.event))
     }
 
-    /// Timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -103,30 +99,6 @@ impl<E> EventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Runs the queue to completion (or until `horizon`), calling
-    /// `handler(now, event, queue)` for each event. The handler may
-    /// schedule further events.
-    pub fn run_until<F>(&mut self, horizon: SimTime, mut handler: F)
-    where
-        F: FnMut(SimTime, E, &mut EventQueue<E>),
-    {
-        while let Some(at) = self.peek_time() {
-            if at > horizon {
-                break;
-            }
-            let (now, event) = self.pop().expect("peeked event exists");
-            let _tick = btpub_obs::span!("sim.engine.tick");
-            // The handler gets a scratch queue view via re-borrow: events it
-            // schedules land in `self` after the swap dance below.
-            let mut scratch = EventQueue::new();
-            scratch.now = now;
-            handler(now, event, &mut scratch);
-            for Reverse(e) in scratch.heap.drain() {
-                self.schedule(e.at, e.event);
-            }
-        }
     }
 }
 
@@ -170,36 +142,44 @@ mod tests {
         q.schedule(t(5), ());
     }
 
+    /// The crawler's loop shape: pop, stop at the first event past the
+    /// horizon, and let each handled event schedule the next.
     #[test]
-    fn run_until_respects_horizon_and_reentrancy() {
+    fn pop_loop_stops_at_the_horizon_and_takes_reentrant_schedules() {
         let mut q = EventQueue::new();
         q.schedule(t(0), 0u64);
         let mut seen = Vec::new();
-        q.run_until(t(50), |now, ev, q2| {
+        let horizon = t(50);
+        let mut past = None;
+        while let Some((now, ev)) = q.pop() {
+            if now > horizon {
+                past = Some((now, ev));
+                break;
+            }
             seen.push((now, ev));
             if ev < 100 {
-                q2.schedule(now + crate::time::SimDuration(10), ev + 1);
+                q.schedule(now + crate::time::SimDuration(10), ev + 1);
             }
-        });
-        // Events at 0,10,20,30,40,50 fire; the one scheduled for 60 stays.
+        }
+        // Events at 0,10,20,30,40,50 fire; the one scheduled for 60 is
+        // the first past the horizon and is not handled.
         assert_eq!(seen.len(), 6);
         assert_eq!(seen.last(), Some(&(t(50), 5)));
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.peek_time(), Some(t(60)));
+        assert_eq!(past, Some((t(60), 6)));
+        assert!(q.is_empty());
     }
 
     #[test]
-    fn same_time_rescheduling_runs_this_pass() {
+    fn same_instant_reschedule_pops_next() {
         let mut q = EventQueue::new();
         q.schedule(t(5), 0);
-        let mut count = 0;
-        q.run_until(t(5), |now, ev, q2| {
-            count += 1;
-            if ev == 0 {
-                q2.schedule(now, 1); // same instant
-            }
-        });
-        assert_eq!(count, 2);
+        q.schedule(t(6), 2);
+        let (now, ev) = q.pop().unwrap();
+        assert_eq!((now, ev), (t(5), 0));
+        q.schedule(now, 1); // same instant
+        assert_eq!(q.pop(), Some((t(5), 1)));
+        assert_eq!(q.now(), t(5));
+        assert_eq!(q.pop(), Some((t(6), 2)));
     }
 
     #[test]

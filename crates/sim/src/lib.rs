@@ -45,5 +45,5 @@ pub use ecosystem::{Ecosystem, Publication, TorrentId};
 pub use population::EcosystemConfig;
 pub use profile::{BusinessClass, FakeKind, Profile};
 pub use publisher::{Publisher, PublisherId};
-pub use swarm::{PeerRecord, SampleScratch, SwarmTrace};
+pub use swarm::{PeerRecord, SampleScratch, SwarmCursor, SwarmTrace};
 pub use time::{SimDuration, SimTime, DAY, HOUR, MINUTE};

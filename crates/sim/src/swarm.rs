@@ -70,7 +70,7 @@ impl PeerRecord {
     }
 }
 
-/// Reusable buffers for [`SwarmTrace::sample_active_into`]. One per
+/// Reusable buffers for [`SwarmTrace::sample_at`]. One per
 /// announce loop (the tracker owns one); `clear()` is implicit.
 #[derive(Debug, Default)]
 pub struct SampleScratch {
@@ -80,6 +80,74 @@ pub struct SampleScratch {
     /// observed — the set only answers "seen this index?" — so the
     /// deterministic-but-unordered FxHashSet is safe here.
     picked: FxHashSet<usize>,
+}
+
+/// Where one instant falls in a swarm's sorted schedules: the counts
+/// and the sampling window a tracker reply needs, found once.
+///
+/// [`SwarmTrace::cursor_at`] finds them with binary searches;
+/// [`SwarmTrace::seek`] moves a cursor to a later instant by stepping
+/// each index forward, which for a torrent queried every few minutes is
+/// a handful of sequential reads instead of a dozen searches over cold
+/// arrays. A cursor belongs to the trace that made it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SwarmCursor {
+    /// The instant the indices describe.
+    t: SimTime,
+    /// Peers with `arrival <= t`: the end of the sampling window.
+    arrived: usize,
+    /// Departures `<= t`.
+    departed: usize,
+    /// Completions `<= t`.
+    completed: usize,
+    /// Completer departures `<= t`.
+    gone: usize,
+    /// Peers that arrived before `t - max_residency`, which cannot be
+    /// active at `t`: the start of the sampling window.
+    window_lo: usize,
+}
+
+/// Forward steps a [`SwarmTrace::seek`] takes one element at a time
+/// before it binary-searches the rest, so a long jump costs O(log n).
+const LINEAR_STEPS: usize = 16;
+
+/// The first index at or after `from` whose element fails `before`,
+/// given that every element before `from` satisfies it.
+#[inline]
+fn step_forward<T>(v: &[T], from: usize, before: impl Fn(&T) -> bool) -> usize {
+    let end = (from + LINEAR_STEPS).min(v.len());
+    let mut i = from;
+    while i < end && before(&v[i]) {
+        i += 1;
+    }
+    if i == end {
+        i += v[i..].partition_point(before);
+    }
+    i
+}
+
+impl SwarmCursor {
+    /// Non-publisher peers in the swarm ([`SwarmTrace::active_count`]).
+    pub fn active(&self) -> usize {
+        self.arrived - self.departed
+    }
+
+    /// Non-publisher seeders ([`SwarmTrace::seeder_count`]).
+    pub fn seeders(&self) -> usize {
+        self.completed - self.gone
+    }
+
+    /// Leechers ([`SwarmTrace::leecher_count`]).
+    pub fn leechers(&self) -> usize {
+        self.active() - self.seeders()
+    }
+
+    /// The sampling window: indices into the trace's peers (sorted by
+    /// arrival) of those that arrived within the longest residency
+    /// before the cursor's instant, up to and including it.
+    pub fn window(&self) -> std::ops::Range<usize> {
+        self.window_lo..self.arrived
+    }
 }
 
 /// The complete trace of one swarm.
@@ -193,6 +261,40 @@ impl SwarmTrace {
         self.sessions.contains(t)
     }
 
+    /// A cursor at `t`, found by binary search — O(log n).
+    pub fn cursor_at(&self, t: SimTime) -> SwarmCursor {
+        let window_start = t - SimDuration(self.max_residency);
+        SwarmCursor {
+            t,
+            arrived: self.peers.partition_point(|p| p.arrival <= t),
+            departed: self.departures.partition_point(|&d| d <= t.0),
+            completed: self.completions.partition_point(|&c| c <= t.0),
+            gone: self.completer_departures.partition_point(|&d| d <= t.0),
+            window_lo: self.peers.partition_point(|p| p.arrival < window_start),
+        }
+    }
+
+    /// Moves `cursor` to `t`: forward by stepping each index past what
+    /// happened in between, backward by finding it afresh. Either way
+    /// the result equals [`Self::cursor_at`]`(t)`.
+    pub fn seek(&self, cursor: &mut SwarmCursor, t: SimTime) {
+        if t < cursor.t {
+            *cursor = self.cursor_at(t);
+            return;
+        }
+        if t == cursor.t {
+            return;
+        }
+        let c = cursor;
+        let window_start = t - SimDuration(self.max_residency);
+        c.t = t;
+        c.arrived = step_forward(&self.peers, c.arrived, |p| p.arrival <= t);
+        c.departed = step_forward(&self.departures, c.departed, |&d| d <= t.0);
+        c.completed = step_forward(&self.completions, c.completed, |&x| x <= t.0);
+        c.gone = step_forward(&self.completer_departures, c.gone, |&d| d <= t.0);
+        c.window_lo = step_forward(&self.peers, c.window_lo, |p| p.arrival < window_start);
+    }
+
     /// Number of non-publisher peers in the swarm at `t` — O(log n).
     pub fn active_count(&self, t: SimTime) -> usize {
         let arrived = self.peers.partition_point(|p| p.arrival <= t);
@@ -226,27 +328,29 @@ impl SwarmTrace {
     /// tracker knows the publisher's current address.
     ///
     /// Allocates per call; the announce fast path uses
-    /// [`sample_active_into`](Self::sample_active_into) with a reusable
-    /// [`SampleScratch`] instead. Both run the same core, so they draw
-    /// the same RNG sequence and pick the same peers.
+    /// [`sample_at`](Self::sample_at) with a reusable [`SampleScratch`]
+    /// instead. Both run the same core, so they draw the same RNG
+    /// sequence and pick the same peers.
     pub fn sample_active(&self, t: SimTime, want: usize, rng: &mut StdRng) -> Vec<&PeerRecord> {
         let mut scratch = SampleScratch::default();
-        let window = self.sample_core(t, want, rng, &mut scratch);
+        let window = self.sample_core(&self.cursor_at(t), want, rng, &mut scratch);
         scratch.idxs.iter().map(|&i| &window[i]).collect()
     }
 
-    /// Allocation-free sampling: picked peers are appended (copied) to
-    /// `out`, reusing `scratch` across calls. Steady-state announces
-    /// perform no heap allocation once the buffers have warmed up.
-    pub fn sample_active_into(
+    /// Allocation-free sampling at the instant `cursor` describes,
+    /// reusing the window it already found: picked peers are appended
+    /// (copied) to `out`, reusing `scratch` across calls. Steady-state
+    /// announces perform no heap allocation once the buffers have
+    /// warmed up.
+    pub fn sample_at(
         &self,
-        t: SimTime,
+        cursor: &SwarmCursor,
         want: usize,
         rng: &mut StdRng,
         scratch: &mut SampleScratch,
         out: &mut Vec<PeerRecord>,
     ) {
-        let window = self.sample_core(t, want, rng, scratch);
+        let window = self.sample_core(cursor, want, rng, scratch);
         out.extend(scratch.idxs.iter().map(|&i| window[i]));
     }
 
@@ -254,21 +358,19 @@ impl SwarmTrace {
     /// window-relative indices and returns the arrival window.
     fn sample_core(
         &self,
-        t: SimTime,
+        cursor: &SwarmCursor,
         want: usize,
         rng: &mut StdRng,
         scratch: &mut SampleScratch,
     ) -> &[PeerRecord] {
         scratch.idxs.clear();
-        let active = self.active_count(t);
+        let active = cursor.active();
         if active == 0 || want == 0 {
             return &[];
         }
         // All active peers arrived within the residency window.
-        let window_start = t - SimDuration(self.max_residency);
-        let lo = self.peers.partition_point(|p| p.arrival < window_start);
-        let hi = self.peers.partition_point(|p| p.arrival <= t);
-        let window = &self.peers[lo..hi];
+        let t = cursor.t;
+        let window = &self.peers[cursor.window()];
         if active <= want || window.len() <= want * 4 {
             // Small case: collect all active, then subsample if needed.
             scratch
@@ -509,15 +611,18 @@ mod tests {
 
     #[test]
     fn sample_into_matches_allocating_version() {
-        // The scratch-buffer sampler must draw the same RNG sequence and
-        // pick the same peers as the allocating one — exercise both the
-        // small (Fisher-Yates) and large (rejection) branches.
+        // The scratch-buffer sampler, reading a cursor carried forward
+        // and back through the query times, must draw the same RNG
+        // sequence and pick the same peers as the allocating one —
+        // exercise both the small (Fisher-Yates) and large (rejection)
+        // branches.
         let peers: Vec<PeerRecord> = (0..4000)
             .map(|i| mk_peer(i, u64::from(i % 337), Some(u64::from(i) + 5_000), u64::from(i) + 20_000))
             .collect();
         let tr = trace(peers);
         let mut scratch = SampleScratch::default();
         let mut out = Vec::new();
+        let mut cursor = tr.cursor_at(SimTime(0));
         for (t, want) in [(100u64, 3000usize), (400, 25), (300, 0), (90_000, 10)] {
             let t = SimTime(t);
             let mut rng_a = derive(11, "eq", t.0);
@@ -525,7 +630,8 @@ mod tests {
             let alloc: Vec<PeerRecord> =
                 tr.sample_active(t, want, &mut rng_a).into_iter().copied().collect();
             out.clear();
-            tr.sample_active_into(t, want, &mut rng_b, &mut scratch, &mut out);
+            tr.seek(&mut cursor, t);
+            tr.sample_at(&cursor, want, &mut rng_b, &mut scratch, &mut out);
             assert_eq!(alloc, out, "t={t:?} want={want}");
             // Both RNGs must be in the same state afterwards.
             assert_eq!(rng_a.gen_range(0..u64::MAX), rng_b.gen_range(0..u64::MAX));

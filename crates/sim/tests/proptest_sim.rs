@@ -2,9 +2,10 @@
 
 use btpub_sim::intervals::IntervalSet;
 use btpub_sim::publisher::PublisherId;
-use btpub_sim::swarm::{PeerRecord, SwarmTrace};
+use btpub_sim::swarm::{PeerRecord, SampleScratch, SwarmTrace};
 use btpub_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
+use rand::Rng;
 
 fn arb_peer() -> impl Strategy<Value = PeerRecord> {
     (
@@ -41,7 +42,152 @@ fn arb_peer() -> impl Strategy<Value = PeerRecord> {
         })
 }
 
+/// One step of a query-time sequence.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// Later by this many seconds (short steps and long jumps).
+    Forward(u64),
+    /// The same instant again.
+    Repeat,
+    /// Earlier by this many seconds.
+    Back(u64),
+}
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (1u64..2_000).prop_map(Step::Forward),
+        (2_000u64..200_000).prop_map(Step::Forward),
+        Just(Step::Repeat),
+        (1u64..300_000).prop_map(Step::Back),
+    ]
+}
+
+/// Which sampling branch each query took: `(fisher_yates, rejection)`.
+type BranchHits = (usize, usize);
+
+/// Walks one cursor through `steps` from `start` and checks, at every
+/// instant, that it equals a fresh binary-search cursor, that its counts
+/// equal a brute-force scan, and that sampling from it (with `want`, then
+/// with wants picked to force each branch) picks the same peers and
+/// leaves the RNG in the same state as [`SwarmTrace::sample_active`],
+/// which looks everything up afresh.
+fn check_cursor_walk(
+    peers: &[PeerRecord],
+    start: u64,
+    steps: &[Step],
+    want: usize,
+    seed: u64,
+) -> BranchHits {
+    let trace = SwarmTrace::new(
+        PublisherId(0),
+        0,
+        SimTime(0),
+        SimTime(0),
+        IntervalSet::new(),
+        None,
+        peers.to_vec(),
+    );
+    let max_residency = peers
+        .iter()
+        .map(|p| p.departure.since(p.arrival).secs())
+        .max()
+        .unwrap_or(0);
+    let mut t = SimTime(start);
+    let mut cursor = trace.cursor_at(t);
+    let mut scratch = SampleScratch::default();
+    let mut out = Vec::new();
+    let mut hits = (0, 0);
+    for (i, step) in steps.iter().enumerate() {
+        t = match *step {
+            Step::Forward(d) => t + SimDuration(d),
+            Step::Repeat => t,
+            Step::Back(d) => t - SimDuration(d),
+        };
+        trace.seek(&mut cursor, t);
+        assert_eq!(cursor, trace.cursor_at(t), "cursor at {t:?} after {step:?}");
+        let active = peers.iter().filter(|p| p.active(t)).count();
+        let seeding = peers.iter().filter(|p| p.seeding(t)).count();
+        assert_eq!(cursor.active(), active);
+        assert_eq!(cursor.seeders(), seeding);
+        assert_eq!(cursor.leechers(), active - seeding);
+        // The sampling window: every peer that arrived within the
+        // longest residency before `t`.
+        let window = peers
+            .iter()
+            .filter(|p| p.arrival.0 + max_residency >= t.0 && p.arrival <= t)
+            .count();
+        // Checked against the scan, not against `cursor_at`, which the
+        // fresh sampler below reads too.
+        let arrived = peers.iter().filter(|p| p.arrival <= t).count();
+        assert_eq!(cursor.window().end, arrived, "window end at {t:?}");
+        assert_eq!(cursor.window().len(), window, "window at {t:?}");
+        for want in [want, 1, window.div_ceil(4).max(1)] {
+            if active > want {
+                if window <= want * 4 {
+                    hits.0 += 1;
+                } else {
+                    hits.1 += 1;
+                }
+            }
+            let mut a = btpub_sim::rngs::derive(seed, "cursor", i as u64);
+            let mut b = a.clone();
+            out.clear();
+            trace.sample_at(&cursor, want, &mut a, &mut scratch, &mut out);
+            let fresh: Vec<PeerRecord> =
+                trace.sample_active(t, want, &mut b).into_iter().copied().collect();
+            assert_eq!(out, fresh, "sample at {t:?}, want {want}");
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "RNG state at {t:?}, want {want}");
+        }
+    }
+    hits
+}
+
+/// A dense trace where both sampling branches must run: the property
+/// below draws its wants at random, so this pins that the walk it
+/// checks really covers the Fisher-Yates and the rejection branch.
+#[test]
+fn cursor_walk_covers_both_sampling_branches() {
+    let peers: Vec<PeerRecord> = (0..400u32)
+        .map(|i| {
+            let arrival = SimTime(u64::from(i) * 50);
+            let completed = (i % 3 != 0).then(|| arrival + SimDuration(3_000));
+            PeerRecord {
+                ip: i,
+                arrival,
+                completed,
+                departure: arrival + SimDuration(6_000 + u64::from(i % 7) * 500),
+                natted: false,
+                abort_progress: if completed.is_some() { 1.0 } else { 0.3 },
+            }
+        })
+        .collect();
+    let steps: Vec<Step> = (0..40)
+        .map(|i| match i % 5 {
+            0 | 1 => Step::Forward(700),
+            2 => Step::Repeat,
+            3 => Step::Forward(40_000),
+            _ => Step::Back(9_000),
+        })
+        .collect();
+    let (fisher_yates, rejection) = check_cursor_walk(&peers, 8_000, &steps, 20, 7);
+    assert!(fisher_yates > 0, "no query took the Fisher-Yates branch");
+    assert!(rejection > 0, "no query took the rejection branch");
+}
+
 proptest! {
+    /// A cursor carried through forward steps, repeats and backward jumps
+    /// gives the counts, samples and RNG state of fresh lookups.
+    #[test]
+    fn cursor_walk_matches_fresh_lookups(
+        peers in proptest::collection::vec(arb_peer(), 0..300),
+        start in 0u64..600_000,
+        steps in proptest::collection::vec(arb_step(), 1..40),
+        want in 1usize..64,
+        seed in any::<u64>(),
+    ) {
+        check_cursor_walk(&peers, start, &steps, want, seed);
+    }
+
     /// The O(log n) indexed counts must agree with a brute-force scan at
     /// arbitrary probe times, for arbitrary peer traces.
     #[test]

@@ -26,7 +26,6 @@ use std::hash::Hasher;
 use std::net::SocketAddrV4;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
@@ -320,7 +319,7 @@ impl Plane {
     /// per batch, not per item. Items always apply in batch order within
     /// a shard, preserving every client's own announce order.
     pub fn apply_batch(&self, items: &[AnnounceItem], out: &mut Vec<Outcome>) {
-        let started = Instant::now();
+        let started = btpub_obs::clock::now();
         out.clear();
         out.resize(
             items.len(),
@@ -447,9 +446,9 @@ impl Plane {
                 _ => self.obs_refused.inc(),
             }
         }
-        let elapsed = started.elapsed().as_nanos() as u64;
+        let elapsed = btpub_obs::clock::now().saturating_sub(started);
         self.obs_apply_ns.record(elapsed);
-        btpub_obs::trace::record_complete_at(self.announce_sym, started, elapsed);
+        btpub_obs::trace::record_complete_since(self.announce_sym, started, elapsed);
     }
 
     /// Phase-1 admission for one item, under its stripe lock. The

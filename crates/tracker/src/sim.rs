@@ -6,8 +6,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use btpub_faults::{key, points, Fault, FaultPlan};
+use btpub_fxhash::FxHashMap;
+use btpub_obs::{clock, LocalHistogram};
 use btpub_sim::rngs;
-use btpub_sim::{Ecosystem, SampleScratch, SimDuration, SimTime, TorrentId};
+use btpub_sim::{Ecosystem, SampleScratch, SimDuration, SimTime, SwarmCursor, TorrentId};
 
 use crate::enforce::{Admission, Enforcer};
 use crate::MAX_NUMWANT;
@@ -77,9 +79,25 @@ pub struct ReplyCounts {
     pub min_interval: SimDuration,
 }
 
+/// The announce path's meters, kept as plain integers and folded into
+/// the registry by [`TrackerSim::fold_meters`].
+#[derive(Default)]
+struct AnnounceMeters {
+    /// `tracker.announce.total`: announces received.
+    total: u64,
+    /// `hotpath.alloc.saved`: announces that touched the heap zero times.
+    alloc_saved: u64,
+    /// `tracker.announce.latency_ns`: time to serve each peer list.
+    latency: LocalHistogram,
+}
+
 /// The simulated tracker: serves peer lists sampled from swarm traces,
 /// enforcing the 10–15-minute per-client rate limit the paper worked
 /// around with multiple vantage points.
+///
+/// Its hot-path meters live in the tracker itself and reach the
+/// registry at [`TrackerSim::fold_meters`] (the crawler folds at every
+/// RSS poll and at crawl end) and on drop.
 ///
 /// Every key below is generated by our own deterministic simulation, so
 /// the DoS-resistant (and slower) default SipHash buys nothing — the
@@ -101,6 +119,13 @@ pub struct TrackerSim<'a> {
     /// once at construction so the armed hot path pays a field read
     /// instead of a `OnceLock` round-trip.
     announce_sym: btpub_obs::trace::Sym,
+    /// Where each monitored torrent's last announce fell in its swarm's
+    /// schedules. A client's queries of one torrent move forward in
+    /// time, so the next announce steps from here instead of searching;
+    /// [`TrackerSim::release`] drops a torrent's entry when its
+    /// monitoring ends, which keeps this O(torrents being monitored).
+    cursors: FxHashMap<TorrentId, SwarmCursor>,
+    meters: AnnounceMeters,
 }
 
 impl<'a> TrackerSim<'a> {
@@ -114,6 +139,8 @@ impl<'a> TrackerSim<'a> {
             scratch: SampleScratch::default(),
             sampled: Vec::new(),
             announce_sym: btpub_obs::trace::sym("tracker.announce"),
+            cursors: FxHashMap::default(),
+            meters: AnnounceMeters::default(),
         }
     }
 
@@ -144,6 +171,10 @@ impl<'a> TrackerSim<'a> {
     /// the sampled peer list to `peers` (cleared first). With a warm
     /// buffer the steady-state announce performs no heap allocation at
     /// all — the `hotpath.alloc.saved` counter tracks how often that held.
+    ///
+    /// The first announce of a torrent keeps a cursor into its swarm for
+    /// the ones after it, until [`Self::release`]; any query order gives
+    /// the same replies and RNG draws.
     pub fn query_into(
         &mut self,
         client: ClientId,
@@ -153,8 +184,8 @@ impl<'a> TrackerSim<'a> {
         peers: &mut Vec<Ipv4Addr>,
     ) -> Result<ReplyCounts, QueryError> {
         peers.clear();
-        let announce_start = std::time::Instant::now();
-        btpub_obs::static_counter!("tracker.announce.total").inc();
+        let announce_start = clock::now();
+        self.meters.total += 1;
         // Coordinates of this query in the fault plan's draw space: one
         // independent draw per (client, torrent, time) triple.
         let draw = key(&[u64::from(client), u64::from(torrent.0), t.secs()]);
@@ -195,6 +226,11 @@ impl<'a> TrackerSim<'a> {
         let numwant = numwant.min(MAX_NUMWANT);
         let eco = self.eco;
         let swarm = &eco.swarms[torrent.0 as usize];
+        let cursor = self
+            .cursors
+            .entry(torrent)
+            .or_insert_with(|| swarm.cursor_at(t));
+        swarm.seek(cursor, t);
         let publisher_on = swarm.publisher_seeding(t);
         // The publishing entity may seed from several servers in parallel.
         let entity_seeders = if publisher_on {
@@ -202,9 +238,9 @@ impl<'a> TrackerSim<'a> {
         } else {
             0
         };
-        let complete = swarm.seeder_count(t) as u32 + entity_seeders as u32;
-        let incomplete = swarm.leecher_count(t) as u32;
-        let active_total = swarm.active_count(t) + entity_seeders;
+        let complete = cursor.seeders() as u32 + entity_seeders as u32;
+        let incomplete = cursor.leechers() as u32;
+        let active_total = cursor.active() + entity_seeders;
 
         let cap_before = peers.capacity();
         peers.reserve(numwant.min(active_total));
@@ -222,8 +258,8 @@ impl<'a> TrackerSim<'a> {
         }
         let wanted_from_trace = numwant - peers.len();
         self.sampled.clear();
-        swarm.sample_active_into(
-            t,
+        swarm.sample_at(
+            cursor,
             wanted_from_trace,
             &mut self.rng,
             &mut self.scratch,
@@ -232,17 +268,16 @@ impl<'a> TrackerSim<'a> {
         peers.extend(self.sampled.iter().map(|p| Ipv4Addr::from(p.ip)));
         if peers.capacity() == cap_before && cap_before > 0 {
             // Warm buffers: this announce touched the heap zero times.
-            btpub_obs::static_counter!("hotpath.alloc.saved").inc();
+            self.meters.alloc_saved += 1;
         }
-        let announce_ns = announce_start.elapsed().as_nanos() as u64;
-        btpub_obs::static_histogram!("tracker.announce.latency_ns").record(announce_ns);
+        let announce_ns = clock::now().saturating_sub(announce_start);
+        self.meters.latency.record(announce_ns);
         // Flight recorder: the announce as a complete ("X") event. This
         // is the hot path the off-contract is judged on — tracing off,
-        // the whole call is one relaxed load; armed, the epoch
-        // conversion is pure arithmetic from the Instant the latency
-        // histogram already paid for, so no extra clock read either
-        // way.
-        btpub_obs::trace::record_complete_at(self.announce_sym, announce_start, announce_ns);
+        // the whole call is one relaxed load; armed, the epoch offset is
+        // one subtraction from the clock reading the latency histogram
+        // already paid for, so no extra clock read either way.
+        btpub_obs::trace::record_complete_since(self.announce_sym, announce_start, announce_ns);
         // Reply corruption happens on the way back: the tracker has fully
         // processed the announce (state mutated, rate-limit clock reset),
         // but the client cannot parse what it received.
@@ -272,6 +307,37 @@ impl<'a> TrackerSim<'a> {
     /// Whether a client has been blacklisted.
     pub fn is_blacklisted(&self, client: ClientId) -> bool {
         self.enforce.is_blacklisted(client)
+    }
+
+    /// Drops the swarm cursor [`Self::query_into`] keeps for `torrent`:
+    /// call when its monitoring ends. A later query of it starts afresh.
+    pub fn release(&mut self, torrent: TorrentId) {
+        self.cursors.remove(&torrent);
+    }
+
+    /// Adds the announces served since the last fold to the registry's
+    /// `tracker.announce.total`, `hotpath.alloc.saved` and
+    /// `tracker.announce.latency_ns`.
+    /// A meter that recorded nothing is not touched, so the registry
+    /// names exactly the meters that counted something.
+    pub fn fold_meters(&mut self) {
+        let m = &mut self.meters;
+        if m.total > 0 {
+            btpub_obs::static_counter!("tracker.announce.total").add(std::mem::take(&mut m.total));
+        }
+        if m.alloc_saved > 0 {
+            btpub_obs::static_counter!("hotpath.alloc.saved")
+                .add(std::mem::take(&mut m.alloc_saved));
+        }
+        if m.latency.count() > 0 {
+            btpub_obs::static_histogram!("tracker.announce.latency_ns").absorb(&mut m.latency);
+        }
+    }
+}
+
+impl Drop for TrackerSim<'_> {
+    fn drop(&mut self) {
+        self.fold_meters();
     }
 }
 

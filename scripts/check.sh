@@ -230,7 +230,10 @@ echo "== release-only tests: memory ceiling, trace overhead, counter throughput 
 # flight-recorder overhead ceiling (tests/trace_overhead.rs) and the
 # obs counter throughput floor. The memory and trace tests also check
 # that their meters measured something, so neither can pass inert.
-cargo test --release --offline --workspace -- --ignored
+# `--nocapture` prints each gate's reading on passing runs too (trace
+# overhead %, streamed memory peaks, counter increments/s), so a run
+# shows how far it is from each bound.
+cargo test --release --offline --workspace -- --ignored --nocapture
 
 echo "== serve metrics: btpub-load must surface serve.* in metrics/manifest/report =="
 ./target/release/btpub-load --seed 7 --announces 800 --clients 32 --drivers 4 \
