@@ -5,7 +5,7 @@
 //! order-free function of one record that consumes its heavy payload
 //! (sightings become per-threshold seeding sessions), and
 //! [`StreamAggregator::fold`] consumes digests in announcement order,
-//! folding each into the per-analysis accumulators ([`Partial`],
+//! folding each into the per-analysis accumulators (`Partial`,
 //! [`ClassAcc`], [`SeedAcc`], [`GroupSignals`], [`IspAgg`]). The heavy
 //! per-record payloads (sightings, observed downloader IPs,
 //! title/filename/textbox strings) are consumed at fold time and

@@ -1,5 +1,6 @@
 //! The crawl engine over the simulated ecosystem.
 
+use std::collections::hash_map::Entry;
 use std::net::Ipv4Addr;
 
 use btpub_faults::{CircuitBreaker, FaultPlan, FaultProfile, RetryPolicy};
@@ -7,7 +8,7 @@ use btpub_fxhash::FxHashMap;
 use btpub_obs::span::Laps;
 use btpub_portal::Portal;
 use btpub_sim::engine::EventQueue;
-use btpub_sim::{Ecosystem, SimDuration, SimTime, TorrentId, MINUTE};
+use btpub_sim::{Ecosystem, SimDuration, SimTime, SwarmCursor, TorrentId, MINUTE};
 use btpub_tracker::sim::{probe_with, ClientId, ProbeOutcome, QueryError, TrackerSim};
 
 use crate::dataset::{Dataset, IpFailure, Sighting, TorrentRecord};
@@ -93,10 +94,12 @@ struct TorrentState {
     /// order records must reach the sink in.
     idx: usize,
     record: TorrentRecord,
+    /// Where the last announce fell in the torrent's swarm; queries only
+    /// move forward, so the tracker steps it instead of searching.
+    cursor: SwarmCursor,
     empty_streak: u32,
     /// When the current run of empty replies began.
     empty_since: Option<SimTime>,
-    done: bool,
     ident_attempts_left: u32,
     /// Consecutive announces lost to injected faults.
     fault_retries: u32,
@@ -270,7 +273,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
     let horizon = cfg.effective_horizon(eco);
     let mut queue: EventQueue<Event> = EventQueue::new();
     let mut states: FxHashMap<TorrentId, TorrentState> = FxHashMap::default();
-    let mut order: Vec<TorrentId> = Vec::new();
+    let mut discovered = 0usize;
     // Announce replies land in one buffer reused across the whole
     // campaign — the steady-state query loop is allocation-free.
     let mut peers: Vec<Ipv4Addr> = Vec::new();
@@ -278,6 +281,15 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
     let mut states_peak = 0usize;
     let mut last_poll = SimTime::ZERO;
     queue.schedule(SimTime::ZERO + cfg.rss_poll, Event::RssPoll);
+    // Schedules `torrent`'s query of `round` at `at`, unless that falls
+    // past the horizon; returns whether its monitoring ended there.
+    let schedule_or_end = |queue: &mut EventQueue<Event>, at: SimTime, torrent, round| {
+        if at > horizon {
+            return true;
+        }
+        queue.schedule(at, Event::Query { torrent, round });
+        false
+    };
 
     // The loop's per-event meters: one engine tick = one event dispatch,
     // timed as a lap that ends when the dispatch does (so it also holds
@@ -319,7 +331,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                         u64::from(item.torrent.0)
                     );
                     let state = TorrentState {
-                        idx: order.len(),
+                        idx: discovered,
                         record: TorrentRecord {
                             torrent: item.torrent,
                             announced_at: item.at,
@@ -341,15 +353,15 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                             observed_ips: Vec::new(),
                             observed_removed: false,
                         },
+                        cursor: eco.swarms[item.torrent.0 as usize].cursor_at(now),
                         empty_streak: 0,
                         empty_since: None,
-                        done: false,
                         ident_attempts_left: cfg.ident_attempts,
                         fault_retries: 0,
                     };
                     states.insert(item.torrent, state);
                     states_peak = states_peak.max(states.len());
-                    order.push(item.torrent);
+                    discovered += 1;
                     // Pounce: first contact within a minute of discovery.
                     queue.schedule(
                         now + SimDuration(30),
@@ -363,7 +375,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                 btpub_obs::static_counter!("crawler.torrents.discovered").add(batch);
                 // Counter track: cumulative discoveries, one sample per
                 // poll — renders as a staircase in the trace viewer.
-                btpub_obs::trace_count!("crawler.torrents.discovered", order.len() as u64);
+                btpub_obs::trace_count!("crawler.torrents.discovered", discovered as u64);
                 btpub_obs::trace!("rss poll"; at = now.0, batch = batch);
                 last_poll = now;
                 } // end 'poll
@@ -373,16 +385,13 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                 }
             }
             Event::Query { torrent, round } => {
-                // The arm body `break`s out of this labeled block where it
-                // used to `continue` the event loop, so the emit check
-                // below runs on every exit path.
-                'query: {
-                let Some(state) = states.get_mut(&torrent) else {
-                    break 'query;
+                // One map lookup per query: the entry is held across the
+                // arm, and the labeled block says whether monitoring ended.
+                let Entry::Occupied(mut slot) = states.entry(torrent) else {
+                    unreachable!("queries are scheduled only for monitored torrents");
                 };
-                if state.done {
-                    break 'query;
-                }
+                let state = slot.get_mut();
+                let ended = 'query: {
                 let first_contact = state.record.first_contact_at.is_none();
                 if first_contact {
                     // Fetch the .torrent listing and page; a removed
@@ -392,8 +401,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                         None => {
                             state.record.ip_failure = Some(IpFailure::RemovedBeforeContact);
                             state.record.observed_removed = true;
-                            state.done = true;
-                            break 'query;
+                            break 'query true;
                         }
                         Some(listing) => {
                             state.record.filename = listing.filename;
@@ -438,23 +446,27 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                         .map(|p| p.jitter("breaker.spread", u64::from(torrent.0), 120))
                         .unwrap_or(0);
                     let retry = SimTime(at + 1 + spread);
-                    if retry <= horizon {
-                        queue.schedule(retry, Event::Query { torrent, round });
-                    } else {
+                    let ended = schedule_or_end(&mut queue, retry, torrent, round);
+                    if ended {
                         state.fail_once(IpFailure::TrackerDown);
-                        state.done = true;
                     }
-                    break 'query;
+                    break 'query ended;
                 }
                 // Round-robin over vantage points; each is a tracker client.
                 queries += 1;
                 let client: ClientId = round % cfg.vantage_points;
-                let reply = match tracker.query_into(client, torrent, now, cfg.numwant, &mut peers)
-                {
+                let reply = match tracker.query_into(
+                    client,
+                    torrent,
+                    &mut state.cursor,
+                    now,
+                    cfg.numwant,
+                    &mut peers,
+                ) {
                     Ok(r) => r,
                     Err(QueryError::RateLimited { retry_at }) => {
                         queue.schedule(retry_at + SimDuration(1), Event::Query { torrent, round });
-                        break 'query;
+                        break 'query false;
                     }
                     Err(
                         err @ (QueryError::TrackerDown { .. }
@@ -481,18 +493,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                             state.fail_once(fault_cause(err));
                             state.fault_retries = 0;
                             let next = now + spacing;
-                            if next <= horizon {
-                                queue.schedule(
-                                    next,
-                                    Event::Query {
-                                        torrent,
-                                        round: round + 1,
-                                    },
-                                );
-                            } else {
-                                state.done = true;
-                            }
-                            break 'query;
+                            break 'query schedule_or_end(&mut queue, next, torrent, round + 1);
                         }
                         // Exponential backoff with deterministic jitter;
                         // at least 1 s so the retry lands on a fresh draw.
@@ -529,24 +530,15 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                         if let Some(at) = breaker.retry_at(now.secs()) {
                             retry = retry.max(SimTime(at + 1));
                         }
-                        if retry <= horizon {
-                            queue.schedule(
-                                retry,
-                                Event::Query {
-                                    torrent,
-                                    round: retry_round,
-                                },
-                            );
-                        } else {
+                        let ended = schedule_or_end(&mut queue, retry, torrent, retry_round);
+                        if ended {
                             state.fail_once(fault_cause(err));
-                            state.done = true;
                         }
-                        break 'query;
+                        break 'query ended;
                     }
                     Err(QueryError::Blacklisted | QueryError::UnknownTorrent) => {
                         // Monitoring is over for this torrent.
-                        state.done = true;
-                        break 'query;
+                        break 'query true;
                     }
                 };
                 breaker.on_success();
@@ -648,34 +640,20 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                 if cfg.single_query
                     || (state.empty_streak >= cfg.empty_replies_to_stop && silence_long_enough)
                 {
-                    state.done = true;
-                    break 'query;
+                    break 'query true;
                 }
                 // Each client is scheduled against the tracker's *maximum*
                 // interval (15 min), never its current one — a polite
                 // crawler must not earn strikes when the load-dependent
                 // interval drifts upward between queries (§2: being
                 // blacklisted would end the campaign).
-                let next = now + spacing;
-                if next <= horizon {
-                    queue.schedule(
-                        next,
-                        Event::Query {
-                            torrent,
-                            round: round + 1,
-                        },
-                    );
-                } else {
-                    state.done = true;
-                }
-                } // end 'query
+                schedule_or_end(&mut queue, now + spacing, torrent, round + 1)
+                }; // end 'query
                 // Every exit path lands here: a torrent whose monitoring
                 // just ended is finalized and emitted (or buffered until
                 // its predecessors emit) immediately, freeing its state.
-                if states.get(&torrent).is_some_and(|s| s.done) {
-                    let st = states.remove(&torrent).expect("checked above");
-                    tracker.release(torrent);
-                    emitter.finish(st, &portal, horizon, sink);
+                if ended {
+                    emitter.finish(slot.remove(), &portal, horizon, sink);
                 }
             }
         }
@@ -690,10 +668,10 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
     // partial-monitoring records would hand a resumed run different
     // bytes than the uninterrupted one.
     if !stopped_early {
-        for id in order {
-            if let Some(st) = states.remove(&id) {
-                emitter.finish(st, &portal, horizon, sink);
-            }
+        let mut live: Vec<TorrentState> = states.into_values().collect();
+        live.sort_unstable_by_key(|st| st.idx);
+        for st in live {
+            emitter.finish(st, &portal, horizon, sink);
         }
         debug_assert!(emitter.pending.is_empty(), "reorder buffer fully drained");
     }
@@ -949,6 +927,54 @@ mod tests {
                 .any(|t| t.ip_failure == Some(IpFailure::TrackerDown) && !t.sightings.is_empty()),
             "degraded torrents are still monitored after the outage"
         );
+    }
+
+    /// Keeps every record with its index, in the order they arrive.
+    #[derive(Default)]
+    struct UnorderedSink(Vec<(usize, TorrentRecord)>);
+
+    impl RecordSink for UnorderedSink {
+        fn ordered(&self) -> bool {
+            false
+        }
+
+        fn emit(&mut self, idx: usize, record: TorrentRecord) {
+            self.0.push((idx, record));
+        }
+    }
+
+    #[test]
+    fn capped_horizon_finalizes_live_torrents_once_for_either_sink() {
+        let (e, _) = shared();
+        // Daily RSS polls and a cap 10 s after the second one: that
+        // poll's discoveries are live at the cap with their first query
+        // due past it, so they finalize after the loop, behind the first
+        // day's torrents, which finish inside it.
+        let cfg = CrawlerConfig {
+            rss_poll: SimDuration::from_hours(24.0),
+            horizon_secs: Some(2 * 86_400 + 10),
+            ..CrawlerConfig::default()
+        };
+        let mut ordered = CollectSink::default();
+        run_crawl_with(e, &cfg, &mut ordered);
+        let mut unordered = UnorderedSink::default();
+        run_crawl_with(e, &cfg, &mut unordered);
+        let n = ordered.records.len();
+        let live_at_cap = ordered
+            .records
+            .iter()
+            .filter(|r| r.first_contact_at.is_none())
+            .count();
+        assert!(
+            live_at_cap >= 5 && live_at_cap < n,
+            "the cap must fall mid-campaign: {live_at_cap} of {n} torrents live at it"
+        );
+        let mut got = unordered.0;
+        got.sort_by_key(|(idx, _)| *idx);
+        let indices: Vec<usize> = got.iter().map(|(idx, _)| *idx).collect();
+        assert_eq!(indices, (0..n).collect::<Vec<_>>(), "each index exactly once");
+        let records: Vec<TorrentRecord> = got.into_iter().map(|(_, r)| r).collect();
+        assert!(records == ordered.records, "unordered records differ from ordered ones");
     }
 
     #[test]

@@ -64,7 +64,7 @@ mod sys {
 }
 
 /// Monotonic nanoseconds from an arbitrary fixed origin. Only
-/// differences between readings, and [`to_epoch`], mean anything.
+/// differences between readings, and `to_epoch`, mean anything.
 #[inline]
 pub fn now() -> u64 {
     sys::monotonic_ns()

@@ -14,7 +14,7 @@
 //!   / [`debug!`] / [`trace!`] macros with `key=value` fields, filtered
 //!   at runtime by the `BTPUB_LOG` environment variable (default `warn`).
 //! * **Flight recorder** — always-compiled, runtime-gated event tracing
-//!   ([`trace`]): per-thread bounded ring buffers of compact events,
+//!   ([`trace`](mod@trace)): per-thread bounded ring buffers of compact events,
 //!   drained into Chrome trace event JSON for Perfetto. Off-cost is one
 //!   relaxed atomic load per event site; on, it never touches a report
 //!   byte (see the module docs for both contracts).

@@ -186,7 +186,7 @@ macro_rules! span {
 
 /// Starts a lap timer: `let mut ticks = btpub_obs::laps!("sim.engine.tick");`
 /// then `ticks.lap()` at the end of every iteration. Records into the
-/// same metrics [`span!`](crate::span) would; the registry lookup runs
+/// same metrics [`span!`](macro@crate::span) would; the registry lookup runs
 /// once per call site.
 #[macro_export]
 macro_rules! laps {

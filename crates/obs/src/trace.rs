@@ -28,11 +28,11 @@
 //!
 //! * **Staged, batched writes.** Each thread stages events into a plain
 //!   `Vec` it alone touches (an `UnsafeCell` owned by the registering
-//!   thread) and flushes to its shared ring every [`STAGE_FLUSH`]
+//!   thread) and flushes to its shared ring every `STAGE_FLUSH`
 //!   events, so the ring mutex is paid once per batch, not per event.
 //!   A thread-local destructor flushes the tail at thread exit.
 //! * **Coarse batched clock.** Instants reuse a cached timestamp that
-//!   is re-read from the monotonic clock only every [`CLOCK_REFRESH`]
+//!   is re-read from the monotonic clock only every `CLOCK_REFRESH`
 //!   events (and at the start of each batch); span/complete events
 //!   carry timestamps the caller already paid for (one subtraction from
 //!   a [`crate::clock::now`] reading) and advance the cached clock for
@@ -53,7 +53,7 @@
 //!
 //! ## The black box
 //!
-//! [`trip`] dumps the last [`BLACKBOX_EVENTS`] events per lane to a
+//! [`trip`] dumps the last `BLACKBOX_EVENTS` events per lane to a
 //! side file when something goes wrong (a fault fires, a breaker
 //! opens — wired from `btpub-faults`), bounded per process and
 //! deduplicated per reason. [`install_panic_hook`] flushes the full
@@ -151,7 +151,7 @@ fn recompute_hot() {
 
 /// Whether the recorder is on. In the steady state this is one relaxed
 /// atomic load plus a compare — the entire cost of a disabled event
-/// site. The first call consults `BTPUB_TRACE` (see [`init_from_env`]).
+/// site. The first call consults `BTPUB_TRACE` (see `init_from_env`).
 #[inline]
 pub fn enabled() -> bool {
     match STATE.load(Ordering::Relaxed) {
@@ -363,11 +363,14 @@ impl RingBuf {
     /// once the ring is full. The timestamp is stored as a µs delta
     /// against the ring epoch; an event more than ~71 minutes past the
     /// epoch rebases the ring (dropping anything older than the new
-    /// window).
+    /// window), and one before it moves the epoch back.
     pub fn push(&mut self, e: Event) {
         if !self.has_base {
             self.base_ns = e.t_ns;
             self.has_base = true;
+        }
+        if e.t_ns < self.base_ns {
+            self.move_epoch_back(e.t_ns);
         }
         let mut dt_us = e.t_ns.saturating_sub(self.base_ns) / 1000;
         if dt_us > u64::from(u32::MAX) {
@@ -398,10 +401,9 @@ impl RingBuf {
     /// Bulk intake of a staged batch already packed against
     /// `batch_base_ns` (its first event's timestamp): per event this is
     /// one shift-add plus a store, where [`push`] would re-derive the
-    /// delta from nanoseconds. A batch epoch behind the ring's clamps
-    /// to it (sub-microsecond reordering noise between complete-event
-    /// starts); an event past the u32-µs window rebases the ring, as
-    /// in [`push`].
+    /// delta from nanoseconds. A batch epoch behind the ring's (a span
+    /// that opened before the ring's first event) moves the epoch back;
+    /// an event past the u32-µs window rebases the ring, as in [`push`].
     fn absorb(&mut self, batch_base_ns: u64, events: &[Packed]) {
         if events.is_empty() {
             return;
@@ -409,6 +411,9 @@ impl RingBuf {
         if !self.has_base {
             self.base_ns = batch_base_ns;
             self.has_base = true;
+        }
+        if batch_base_ns < self.base_ns {
+            self.move_epoch_back(batch_base_ns);
         }
         let mut shift_us = batch_base_ns.saturating_sub(self.base_ns) / 1000;
         for p in events {
@@ -424,6 +429,22 @@ impl RingBuf {
                 payload: p.payload,
             });
         }
+    }
+
+    /// Moves the epoch back by whole microseconds to at most `t_ns`, so
+    /// an event that precedes everything held keeps its time (to the
+    /// µs) instead of clamping to the epoch. Held events shift by the
+    /// same whole µs and decode unchanged. The epoch stops short where
+    /// the newest held event would leave the u32-µs window; an earlier
+    /// event then clamps to it.
+    fn move_epoch_back(&mut self, t_ns: u64) {
+        let newest_us = self.buf.iter().map(|p| p.dt_us).max().unwrap_or(0);
+        let room_us = u64::from(u32::MAX - newest_us);
+        let back_us = (self.base_ns - t_ns).div_ceil(1000).min(room_us);
+        for p in &mut self.buf {
+            p.dt_us += back_us as u32;
+        }
+        self.base_ns -= back_us * 1000;
     }
 
     /// Moves the epoch forward so `t_ns` fits in the u32-µs window,
@@ -630,24 +651,21 @@ fn flush_stage(tb: &ThreadBuf, stage: &mut Stage) {
 }
 
 /// Stages one packed event, starting a new batch epoch when the stage
-/// is empty and flushing when it fills. The degenerate case of a batch
-/// spanning more than the u32-µs window (71 minutes between flushes on
-/// one thread) flushes early so the delta always fits.
+/// is empty and flushing when it fills. An event the batch epoch cannot
+/// hold starts a batch of its own: one that precedes it (a complete
+/// event whose span opened before the batch's first event, which a
+/// clamp would draw after the work it encloses) or one past the u32-µs
+/// window (71 minutes between flushes on one thread).
 #[inline]
 fn stage_push(tb: &ThreadBuf, stage: &mut Stage, t_ns: u64, sym_kind: u32, payload: u64) {
     if stage.buf.is_empty() {
         stage.base_ns = t_ns;
     }
-    let dt_us = t_ns.saturating_sub(stage.base_ns) / 1000;
-    if dt_us > u64::from(u32::MAX) {
+    let mut dt_us = t_ns.wrapping_sub(stage.base_ns) / 1000;
+    if t_ns < stage.base_ns || dt_us > u64::from(u32::MAX) {
         flush_stage(tb, stage);
         stage.base_ns = t_ns;
-        stage.buf.push(Packed {
-            dt_us: 0,
-            sym_kind,
-            payload,
-        });
-        return;
+        dt_us = 0;
     }
     stage.buf.push(Packed {
         dt_us: dt_us as u32,
@@ -1149,7 +1167,7 @@ pub fn drain() -> TraceSnapshot {
 /// A bounded copy of the newest `per_thread` events per lane *without*
 /// draining: rings keep their contents and accounting. This is the
 /// black-box read path — cheap enough to run while the system limps
-/// on. (Other threads' sub-batch staged tails, at most [`STAGE_FLUSH`]
+/// on. (Other threads' sub-batch staged tails, at most `STAGE_FLUSH`
 /// events each, are not visible here; only the calling thread's stage
 /// is flushed.)
 pub fn snapshot_last(per_thread: usize) -> TraceSnapshot {
@@ -1338,7 +1356,7 @@ fn slug(reason: &str) -> String {
     s
 }
 
-/// The black-box dump: writes the newest [`BLACKBOX_EVENTS`] events
+/// The black-box dump: writes the newest `BLACKBOX_EVENTS` events
 /// per lane (plus a `blackbox.trip` marker carrying `reason`) as a
 /// loadable Chrome trace to `<prefix>-<seq>-<reason>.json`, without
 /// draining the rings.
@@ -1347,7 +1365,7 @@ fn slug(reason: &str) -> String {
 /// breaker opening). A no-op returning `None` unless the recorder is
 /// armed *and* a prefix is set ([`set_snapshot_prefix`] or
 /// `BTPUB_TRACE_SNAPSHOT`); each distinct reason dumps at most once
-/// and at most [`BLACKBOX_MAX`] dumps are written per process, so a
+/// and at most `BLACKBOX_MAX` dumps are written per process, so a
 /// fault storm cannot become an I/O storm.
 pub fn trip(reason: &str) -> Option<PathBuf> {
     if !enabled() {
@@ -1585,6 +1603,35 @@ mod tests {
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].t_ns, far, "survivor decodes to its true time");
         assert_eq!(drained[0].payload, 2);
+    }
+
+    #[test]
+    fn ring_moves_epoch_back_for_an_earlier_event() {
+        let s = sym("test.ring.back");
+        let mut ring = RingBuf::with_capacity(8);
+        ring.push(ev(s, 50));
+        // A span that opened before the ring's first event.
+        ring.push(Event {
+            t_ns: 20_000,
+            payload: 1,
+            sym: s,
+            kind: EventKind::Complete,
+        });
+        // A staged batch whose epoch precedes both.
+        ring.absorb(
+            7_500,
+            &[Packed {
+                dt_us: 3,
+                sym_kind: pack_sym_kind(s, EventKind::Instant),
+                payload: 2,
+            }],
+        );
+        let times: Vec<u64> = ring.drain_ordered().iter().map(|e| e.t_ns).collect();
+        assert_eq!(
+            times,
+            vec![50_000, 20_000, 10_000],
+            "no event clamps to a later epoch"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! generated once at publication time and queried analytically afterwards.
 //! The tracker samples it, the crawler's bitfield probes interpolate
 //! download progress from it, and the analysis validates against it as
-//! ground truth. DESIGN.md §5 benches this choice against the event-driven
+//! ground truth. DESIGN.md §5 says why this beats the event-driven
 //! alternative.
 
 use btpub_fxhash::FxHashSet;

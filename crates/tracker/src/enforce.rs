@@ -181,11 +181,6 @@ impl Enforcer {
         Admission::Admit
     }
 
-    /// The minimum interval a reply at time `t` should advertise.
-    pub fn reply_interval(&self, t: SimTime) -> SimDuration {
-        min_interval(t)
-    }
-
     /// Appends every client with recorded strikes or a blacklist entry,
     /// sorted by client id — the canonical-snapshot form the serving
     /// plane's oracle equality compares.

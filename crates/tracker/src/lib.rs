@@ -6,7 +6,10 @@
 //!
 //! * [`sim::TrackerSim`] answers queries against a generated
 //!   [`btpub_sim::Ecosystem`]; this is what the measurement campaign runs
-//!   on. It also exposes [`sim::probe`], the peer-wire bitfield probe the
+//!   on. Its caller owns each torrent's place in the swarm (a
+//!   [`btpub_sim::SwarmCursor`], passed to [`sim::TrackerSim::query_into`]),
+//!   so the tracker keeps no swarm position between announces. It also
+//!   exposes [`sim::probe`], the peer-wire bitfield probe the
 //!   crawler uses to tell the initial seeder apart from leechers (NATted
 //!   peers are unreachable, reproducing the paper's identification
 //!   failures). [`sim::TrackerSim::with_faults`] and [`sim::probe_with`]

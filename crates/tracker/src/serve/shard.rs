@@ -567,7 +567,7 @@ impl Plane {
     /// garbage delivery (see `wire::set_garbage_txn`) retransmits the
     /// identical frame when the error reply is lost, and the snapshot's
     /// `garbled` count must not drift when that happens. The seen-set is
-    /// capped: past [`GARBAGE_SEEN_CAP`] unique frames the dedup
+    /// capped: past `GARBAGE_SEEN_CAP` unique frames the dedup
     /// degrades to plain counting rather than growing without bound
     /// under a unique-garbage flood.
     pub fn note_garbled_frame(&self, now_secs: u64, frame: &[u8]) -> bool {

@@ -28,7 +28,7 @@ pub struct UdpAnnounceOutcome {
 }
 
 /// One request/response round with the BEP 15 retransmit ladder (see
-/// [`exchange_raw`]): a lost request or reply costs one doubled
+/// `exchange_raw`): a lost request or reply costs one doubled
 /// timeout, not the whole call, and a stale reply to an earlier
 /// transaction is skipped rather than taken for this one's.
 pub fn exchange_with(

@@ -6,7 +6,6 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use btpub_faults::{key, points, Fault, FaultPlan};
-use btpub_fxhash::FxHashMap;
 use btpub_obs::{clock, LocalHistogram};
 use btpub_sim::rngs;
 use btpub_sim::{Ecosystem, SampleScratch, SimDuration, SimTime, SwarmCursor, TorrentId};
@@ -119,12 +118,6 @@ pub struct TrackerSim<'a> {
     /// once at construction so the armed hot path pays a field read
     /// instead of a `OnceLock` round-trip.
     announce_sym: btpub_obs::trace::Sym,
-    /// Where each monitored torrent's last announce fell in its swarm's
-    /// schedules. A client's queries of one torrent move forward in
-    /// time, so the next announce steps from here instead of searching;
-    /// [`TrackerSim::release`] drops a torrent's entry when its
-    /// monitoring ends, which keeps this O(torrents being monitored).
-    cursors: FxHashMap<TorrentId, SwarmCursor>,
     meters: AnnounceMeters,
 }
 
@@ -139,7 +132,6 @@ impl<'a> TrackerSim<'a> {
             scratch: SampleScratch::default(),
             sampled: Vec::new(),
             announce_sym: btpub_obs::trace::sym("tracker.announce"),
-            cursors: FxHashMap::default(),
             meters: AnnounceMeters::default(),
         }
     }
@@ -161,24 +153,22 @@ impl<'a> TrackerSim<'a> {
         self.faults.as_ref()
     }
 
-    /// The per-client minimum query interval at time `t`. Varies in
-    /// [10, 15] minutes with load, deterministically per hour.
-    pub fn min_interval(&self, t: SimTime) -> SimDuration {
-        crate::enforce::min_interval(t)
-    }
-
     /// Handles one peer-list query from `client` at time `t`, appending
     /// the sampled peer list to `peers` (cleared first). With a warm
     /// buffer the steady-state announce performs no heap allocation at
     /// all — the `hotpath.alloc.saved` counter tracks how often that held.
     ///
-    /// The first announce of a torrent keeps a cursor into its swarm for
-    /// the ones after it, until [`Self::release`]; any query order gives
-    /// the same replies and RNG draws.
+    /// `cursor` is the caller's place in `torrent`'s swarm, made by that
+    /// swarm's [`cursor_at`](btpub_sim::SwarmTrace::cursor_at) and kept
+    /// for the torrent's next announce: queries that move forward in time
+    /// step it instead of searching. Any cursor of that swarm gives the
+    /// same reply and RNG draws; an unknown torrent is refused before its
+    /// cursor is read.
     pub fn query_into(
         &mut self,
         client: ClientId,
         torrent: TorrentId,
+        cursor: &mut SwarmCursor,
         t: SimTime,
         numwant: usize,
         peers: &mut Vec<Ipv4Addr>,
@@ -213,7 +203,7 @@ impl<'a> TrackerSim<'a> {
         if torrent.0 as usize >= self.eco.swarms.len() {
             return Err(QueryError::UnknownTorrent);
         }
-        let interval = self.min_interval(t);
+        let interval = crate::enforce::min_interval(t);
         match self.enforce.admit(client, torrent, t, false) {
             Admission::Admit | Admission::Duplicate => {}
             Admission::Blacklisted => return Err(QueryError::Blacklisted),
@@ -226,10 +216,6 @@ impl<'a> TrackerSim<'a> {
         let numwant = numwant.min(MAX_NUMWANT);
         let eco = self.eco;
         let swarm = &eco.swarms[torrent.0 as usize];
-        let cursor = self
-            .cursors
-            .entry(torrent)
-            .or_insert_with(|| swarm.cursor_at(t));
         swarm.seek(cursor, t);
         let publisher_on = swarm.publisher_seeding(t);
         // The publishing entity may seed from several servers in parallel.
@@ -307,12 +293,6 @@ impl<'a> TrackerSim<'a> {
     /// Whether a client has been blacklisted.
     pub fn is_blacklisted(&self, client: ClientId) -> bool {
         self.enforce.is_blacklisted(client)
-    }
-
-    /// Drops the swarm cursor [`Self::query_into`] keeps for `torrent`:
-    /// call when its monitoring ends. A later query of it starts afresh.
-    pub fn release(&mut self, torrent: TorrentId) {
-        self.cursors.remove(&torrent);
     }
 
     /// Adds the announces served since the last fold to the registry's
@@ -405,8 +385,9 @@ mod tests {
         Ecosystem::generate(EcosystemConfig::tiny(70))
     }
 
-    /// One announce through [`TrackerSim::query_into`], returning the
-    /// counts with the peer list it wrote.
+    /// One announce through [`TrackerSim::query_into`] from a fresh
+    /// cursor, returning the counts with the peer list it wrote. An
+    /// unknown torrent borrows swarm 0's cursor, which it never reads.
     fn ask(
         tr: &mut TrackerSim,
         client: ClientId,
@@ -414,8 +395,13 @@ mod tests {
         t: SimTime,
         numwant: usize,
     ) -> Result<(ReplyCounts, Vec<Ipv4Addr>), QueryError> {
+        let swarms = &tr.eco.swarms;
+        let mut cursor = swarms
+            .get(torrent.0 as usize)
+            .unwrap_or(&swarms[0])
+            .cursor_at(t);
         let mut peers = Vec::new();
-        tr.query_into(client, torrent, t, numwant, &mut peers)
+        tr.query_into(client, torrent, &mut cursor, t, numwant, &mut peers)
             .map(|counts| (counts, peers))
     }
 

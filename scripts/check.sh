@@ -13,6 +13,9 @@ cargo test -q --offline --workspace
 echo "== clippy (all targets, warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== docs (rustdoc warnings, broken intra-doc links included, are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "== determinism: repro --jobs 1 vs --jobs 4 (tiny scale) =="
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT

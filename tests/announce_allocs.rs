@@ -9,7 +9,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use btpub::{Scale, Scenario};
-use btpub_sim::{Ecosystem, SimDuration, TorrentId};
+use btpub_sim::{Ecosystem, SimDuration, SimTime, TorrentId};
 use btpub_tracker::TrackerSim;
 
 /// `System`, plus a count of the calls that ask for memory (alloc,
@@ -57,6 +57,12 @@ fn warm_announces_do_not_allocate() {
     let eco = Ecosystem::generate(scenario.eco.clone());
     let mut tracker = TrackerSim::new(&eco);
     let mut peers = Vec::new();
+    // One swarm cursor per torrent, owned here as the crawler owns them.
+    let mut cursors: Vec<_> = eco
+        .swarms
+        .iter()
+        .map(|s| s.cursor_at(SimTime::ZERO))
+        .collect();
     let n = eco.publications.len() as u32;
     // One announce per (client, torrent) pair an hour into each swarm's
     // life, cycling torrents: the crawler's steady state. The first lap
@@ -65,7 +71,8 @@ fn warm_announces_do_not_allocate() {
         for i in 0..QUERIES {
             let torrent = TorrentId(i % n);
             let at = eco.publications[(i % n) as usize].at + SimDuration::from_hours(1.0);
-            let _ = tracker.query_into(base + i, torrent, at, 50, &mut peers);
+            let cursor = &mut cursors[(i % n) as usize];
+            let _ = tracker.query_into(base + i, torrent, cursor, at, 50, &mut peers);
         }
     };
     lap(1_000_000);

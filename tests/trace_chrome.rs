@@ -2,16 +2,24 @@
 //! what Perfetto / `chrome://tracing` expects, with real worker lanes.
 //!
 //! Separate test binary on purpose: the recorder gate is process-global,
-//! and this test arms it without fighting the golden-report process.
+//! and these tests arm it without fighting the golden-report process.
+//! They take [`RECORDER`] so one test's drain never sees the other's
+//! events.
+
+use std::sync::{Mutex, PoisonError};
 
 use btpub_obs::trace;
 use btpub_par::{Jobs, Pool};
 use serde_json::Value;
 
+/// Held by each test for as long as it arms the recorder.
+static RECORDER: Mutex<()> = Mutex::new(());
+
 /// One sequential test: enable → emit across explicit worker lanes →
 /// drain → validate the Chrome JSON end to end.
 #[test]
 fn armed_recorder_exports_perfetto_loadable_chrome_trace() {
+    let _recorder = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     trace::set_enabled(true);
 
     // An explicit 3-worker pool: `Pool::new` takes the job count as
@@ -88,4 +96,64 @@ fn armed_recorder_exports_perfetto_loadable_chrome_trace() {
 
     // Drained means drained: a second drain is empty.
     assert_eq!(trace::drain().event_count(), 0);
+}
+
+/// A span that stays open while its thread records several staged
+/// batches of child events is drawn around them: every child complete
+/// event lies inside the parent's `[ts, ts + dur]`, to 1 µs of rounding.
+#[test]
+fn long_span_encloses_children_recorded_across_stage_flushes() {
+    /// Several times the recorder's per-thread staging batch (256).
+    const CHILDREN: usize = 1000;
+    let _recorder = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+    // A thread of its own, so the parent opens before anything else in
+    // its lane.
+    let snap = std::thread::Builder::new()
+        .name("trace-nesting".into())
+        .spawn(|| {
+            trace::set_enabled(true);
+            {
+                let _parent = btpub_obs::span!("test.nesting.parent");
+                for _ in 0..CHILDREN {
+                    let _child = btpub_obs::span!("test.nesting.child");
+                }
+            }
+            trace::set_enabled(false);
+            trace::drain()
+        })
+        .expect("spawn the recording thread")
+        .join()
+        .expect("the recording thread finished");
+    let lane = snap
+        .threads
+        .iter()
+        .find(|t| t.name == "trace-nesting")
+        .expect("the recording thread has a lane");
+
+    let chrome = trace::chrome_trace(&snap);
+    let span = |ev: &Value| {
+        let ts = ev["ts"].as_f64().expect("ts");
+        (ts, ts + ev["dur"].as_f64().expect("dur"))
+    };
+    let mut parent = None;
+    let mut children = Vec::new();
+    for ev in chrome["traceEvents"].as_array().expect("traceEvents array") {
+        if ev["tid"].as_u64() != Some(u64::from(lane.tid)) || ev["ph"].as_str() != Some("X") {
+            continue;
+        }
+        match ev["name"].as_str() {
+            Some("test.nesting.parent") => parent = Some(span(ev)),
+            Some("test.nesting.child") => children.push(span(ev)),
+            _ => {}
+        }
+    }
+    let (start, end) = parent.expect("the parent span was recorded");
+    assert_eq!(children.len(), CHILDREN, "every child span was recorded");
+    for (i, &(child_start, child_end)) in children.iter().enumerate() {
+        assert!(
+            child_start >= start - 1.0 && child_end <= end + 1.0,
+            "child {i} at [{child_start}, {child_end}] µs lies outside its parent \
+             [{start}, {end}] µs"
+        );
+    }
 }

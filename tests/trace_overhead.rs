@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use btpub::{Scale, Scenario};
 use btpub_obs::trace;
-use btpub_sim::{Ecosystem, SimDuration, TorrentId};
+use btpub_sim::{Ecosystem, SimDuration, SimTime, SwarmCursor, TorrentId};
 use btpub_tracker::TrackerSim;
 
 /// Armed-recorder overhead ceiling on the announce lap, percent.
@@ -32,6 +32,7 @@ const ROUNDS: usize = 2056;
 fn timed_lap(
     eco: &Ecosystem,
     tracker: &mut TrackerSim,
+    cursors: &mut [SwarmCursor],
     peers: &mut Vec<Ipv4Addr>,
     base: u32,
 ) -> f64 {
@@ -40,7 +41,8 @@ fn timed_lap(
     for i in 0..BATCH {
         let torrent = TorrentId(i % n);
         let at = eco.publications[(i % n) as usize].at + SimDuration::from_hours(24.0);
-        let _ = tracker.query_into(base + i, torrent, at, 50, peers);
+        let cursor = &mut cursors[(i % n) as usize];
+        let _ = tracker.query_into(base + i, torrent, cursor, at, 50, peers);
     }
     t0.elapsed().as_secs_f64() / f64::from(BATCH)
 }
@@ -73,10 +75,16 @@ fn armed_recorder_costs_at_most_five_percent_per_announce() {
     let eco = Ecosystem::generate(Scenario::pb10(Scale::default_repro()).eco.clone());
     let mut tracker = TrackerSim::new(&eco);
     let mut peers = Vec::new();
+    // One swarm cursor per torrent, owned here as the crawler owns them.
+    let mut cursors: Vec<_> = eco
+        .swarms
+        .iter()
+        .map(|s| s.cursor_at(SimTime::ZERO))
+        .collect();
     let mut base = 10_000_000u32;
     // Warm lap: reply buffer, tracker maps, interned trace symbols.
     trace::set_enabled(true);
-    timed_lap(&eco, &mut tracker, &mut peers, base);
+    timed_lap(&eco, &mut tracker, &mut cursors, &mut peers, base);
     base += BATCH;
     let mut off = Vec::with_capacity(ROUNDS);
     let mut on = Vec::with_capacity(ROUNDS);
@@ -85,7 +93,7 @@ fn armed_recorder_costs_at_most_five_percent_per_announce() {
         for half in 0..2 {
             let armed = (half == 0) == on_first;
             trace::set_enabled(armed);
-            let lap = timed_lap(&eco, &mut tracker, &mut peers, base);
+            let lap = timed_lap(&eco, &mut tracker, &mut cursors, &mut peers, base);
             base += BATCH;
             if armed {
                 on.push(lap);
