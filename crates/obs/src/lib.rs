@@ -43,7 +43,7 @@ pub mod span;
 pub mod trace;
 
 pub use log::{set_level, Level};
-pub use metrics::{Counter, Gauge, Histogram, LocalHistogram};
+pub use metrics::{Counter, Gauge, Histogram, LocalHistogram, SampledHistogram};
 pub use registry::{global, Registry};
 pub use report::text_report;
 pub use span::SpanGuard;

@@ -251,8 +251,9 @@ impl Histogram {
 
 /// A [`Histogram`] a single owner records into with plain integer
 /// adds: same log2 buckets, no atomics. Hot loops keep one in a field
-/// and [`Histogram::absorb`] it into the registry at their checkpoints,
-/// so a reader of the shared histogram lags by at most one checkpoint.
+/// (inside a [`SampledHistogram`] when they time their events) and
+/// [`Histogram::absorb`] it into the registry at their checkpoints, so a
+/// reader of the shared histogram lags by at most one checkpoint.
 #[derive(Debug)]
 pub struct LocalHistogram {
     buckets: [u64; BUCKETS],
@@ -276,9 +277,16 @@ impl LocalHistogram {
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.buckets[Histogram::bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.wrapping_add(v);
+        self.record_weighted(v, 1);
+    }
+
+    /// Records `v` as the value of `weight` samples at once: what
+    /// `weight` calls of [`Self::record`] would leave, in one bucket add.
+    #[inline]
+    pub fn record_weighted(&mut self, v: u64, weight: u64) {
+        self.buckets[Histogram::bucket_of(v)] += weight;
+        self.count += weight;
+        self.sum = self.sum.wrapping_add(v.wrapping_mul(weight));
         self.max = self.max.max(v);
     }
 
@@ -290,6 +298,108 @@ impl LocalHistogram {
     /// Sum of the samples recorded since the last fold.
     pub fn sum(&self) -> u64 {
         self.sum
+    }
+}
+
+/// Mean number of events a [`SampledHistogram`] counts per event it
+/// measures.
+pub const SAMPLE_PERIOD: u64 = 16;
+
+/// Events from a measured event to the next one: uniform in
+/// `1..=2 * SAMPLE_PERIOD - 1`, so the mean gap is [`SAMPLE_PERIOD`].
+/// A pure function of the meter's hashed label and the measured event's
+/// index. Because the gaps are not a constant, no periodic pattern in
+/// the events (a round robin over vantage clients, say) can line up
+/// with the measured subset; because each meter draws from its own
+/// label, two meters counting the same events measure different ones.
+#[inline]
+fn gap_after(stream: u64, index: u64) -> u64 {
+    1 + crate::trace::mix_hashed(0, stream, index) % (2 * SAMPLE_PERIOD - 1)
+}
+
+/// A [`LocalHistogram`] that measures a deterministic, aperiodic subset
+/// of about one in [`SAMPLE_PERIOD`] of its owner's events and weights
+/// each measured value by the events it stands for.
+///
+/// The owner asks [`Self::wants`] before each event, pays for a
+/// measurement (a clock read, say) only when it says yes, and then
+/// calls [`Self::record`] with the value, or [`Self::skip`] otherwise.
+/// Which events are measured depends only on the label the meter was
+/// made with and the events' indices: the first event always is, and
+/// each measured event draws the gap to the next. A measured value
+/// stands for itself and every unmeasured event after it;
+/// [`Self::settle`] moves them into the histogram at that value, so
+/// after a settle the histogram's count is exactly the number of
+/// events, while its sum and quantiles are estimates. Events that are
+/// neither recorded nor skipped are not counted and carry no weight.
+#[derive(Debug)]
+pub struct SampledHistogram {
+    local: LocalHistogram,
+    /// The meter's label, hashed: the stream its gaps are drawn from.
+    stream: u64,
+    /// Index of the next event.
+    next: u64,
+    /// Index of the next event to measure.
+    next_measured: u64,
+    /// The last measured value.
+    held: u64,
+    /// Index of the first event not yet in `local`; events from here
+    /// to `next` are weighted at `held`.
+    settled: u64,
+}
+
+impl SampledHistogram {
+    /// An empty meter whose gaps are drawn from the stream `label`;
+    /// name it after the metric it feeds.
+    pub fn new(label: &str) -> SampledHistogram {
+        SampledHistogram::with_stream(crate::trace::fnv1a(label.as_bytes()))
+    }
+
+    /// [`Self::new`] with the label already hashed.
+    pub(crate) fn with_stream(stream: u64) -> SampledHistogram {
+        SampledHistogram {
+            local: LocalHistogram::default(),
+            stream,
+            next: 0,
+            next_measured: 0,
+            held: 0,
+            settled: 0,
+        }
+    }
+
+    /// Whether the next event is one to measure.
+    #[inline]
+    pub fn wants(&self) -> bool {
+        self.next == self.next_measured
+    }
+
+    /// Counts an event that [`Self::wants`] did not ask to measure.
+    #[inline]
+    pub fn skip(&mut self) {
+        debug_assert!(!self.wants(), "a measured event must be recorded");
+        self.next += 1;
+    }
+
+    /// Records the value of an event that [`Self::wants`] asked to
+    /// measure, and draws the gap to the next one.
+    pub fn record(&mut self, v: u64) {
+        debug_assert!(self.wants(), "an unmeasured event must be skipped");
+        self.settle();
+        self.held = v;
+        self.next_measured = self.next + gap_after(self.stream, self.next);
+        self.next += 1;
+    }
+
+    /// Moves every event counted since the last settle into the
+    /// histogram, each at the value of the measured event that stands
+    /// for it, and returns the histogram for folding.
+    pub fn settle(&mut self) -> &mut LocalHistogram {
+        let weight = self.next - self.settled;
+        if weight > 0 {
+            self.local.record_weighted(self.held, weight);
+            self.settled = self.next;
+        }
+        &mut self.local
     }
 }
 
@@ -463,6 +573,105 @@ mod tests {
         assert_eq!(folded.sum(), direct.sum());
         assert_eq!(folded.max(), direct.max());
         assert_eq!(folded.bucket_counts(), direct.bucket_counts());
+    }
+
+    /// Drives `events` events through a fresh sampler labelled `label`,
+    /// recording event `i`'s value as `value(i)` when asked; returns the
+    /// sampler and the indices it measured.
+    fn drive(
+        label: &str,
+        events: u64,
+        value: impl Fn(u64) -> u64,
+    ) -> (SampledHistogram, Vec<u64>) {
+        let mut h = SampledHistogram::new(label);
+        let mut measured = Vec::new();
+        for i in 0..events {
+            if h.wants() {
+                h.record(value(i));
+                measured.push(i);
+            } else {
+                h.skip();
+            }
+        }
+        (h, measured)
+    }
+
+    #[test]
+    fn sampled_weights_sum_to_the_event_count_at_every_fold() {
+        let shared = Histogram::new();
+        let mut h = SampledHistogram::new("test.sampled");
+        let mut folds = 0;
+        for i in 0..20_000u64 {
+            if h.wants() {
+                h.record(100 + i % 900);
+            } else {
+                h.skip();
+            }
+            // Uneven fold points, some inside a gap, some twice in a row.
+            if i % 37 == 5 || i % 101 == 0 || i % 101 == 1 {
+                shared.absorb(h.settle());
+                folds += 1;
+                assert_eq!(shared.count(), i + 1, "after event {i}");
+                let buckets: u64 = shared.bucket_counts().iter().map(|&(_, n)| n).sum();
+                assert_eq!(buckets, shared.count(), "bucket totals after event {i}");
+            }
+        }
+        assert!(folds > 500);
+        // Settling twice adds nothing.
+        shared.absorb(h.settle());
+        shared.absorb(h.settle());
+        assert_eq!(shared.count(), 20_000);
+        // A constant value is estimated exactly.
+        let (mut constant, _) = drive("test.sampled", 5_000, |_| 7);
+        let local = constant.settle();
+        assert_eq!((local.count(), local.sum()), (5_000, 35_000));
+    }
+
+    #[test]
+    fn sampled_events_are_a_pure_function_of_label_and_index() {
+        let (_, a) = drive("test.sampled", 100_000, |i| i);
+        let (_, b) = drive("test.sampled", 100_000, |i| i * 3 + 1);
+        assert!(!a.is_empty());
+        assert_eq!(a, b);
+        // Another label measures another subset.
+        let (_, c) = drive("test.sampled.other", 100_000, |i| i);
+        assert_ne!(a, c);
+    }
+
+    #[test]
+    fn one_event_in_sample_period_is_measured() {
+        let (_, measured) = drive("test.sampled", 1_000_000, |_| 1);
+        let share = measured.len() as f64 / 1e6;
+        let target = 1.0 / SAMPLE_PERIOD as f64;
+        assert!(
+            (share - target).abs() <= 0.01 * target,
+            "measured share {share}, target {target}"
+        );
+    }
+
+    #[test]
+    fn a_round_robin_cannot_alias_with_the_sample() {
+        // The crawler's queries cycle over four vantage clients.
+        let (_, measured) = drive("test.sampled", 1_000_000, |_| 1);
+        let mut per_client = [0u64; 4];
+        for i in &measured {
+            per_client[(i % 4) as usize] += 1;
+        }
+        for (client, n) in per_client.iter().enumerate() {
+            let share = *n as f64 / measured.len() as f64;
+            assert!((share - 0.25).abs() <= 0.02, "client {client}: {share}");
+        }
+    }
+
+    #[test]
+    fn a_loop_shorter_than_the_mean_gap_is_still_measured() {
+        let (mut h, measured) = drive("test.sampled", 3, |_| 42);
+        assert_eq!(measured, vec![0]);
+        let local = h.settle();
+        assert_eq!((local.count(), local.sum()), (3, 126));
+        // An owner that never counted an event leaves nothing behind.
+        let mut idle = SampledHistogram::new("test.sampled");
+        assert_eq!(idle.settle().count(), 0);
     }
 
     #[test]

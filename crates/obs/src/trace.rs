@@ -9,7 +9,8 @@
 //!   steady state is a single `Relaxed` load of an `AtomicU8` plus a
 //!   compare. No timestamp is taken, no lock touched, no allocation
 //!   made unless the recorder is on. The release-only test
-//!   `tests/trace_overhead.rs` holds the armed cost to 5% per announce.
+//!   `tests/trace_overhead.rs` holds the armed cost to 5% per
+//!   crawl-shaped announce.
 //! * **On must not move a single report byte.** Events go *only* into
 //!   the per-thread rings here; while recording, the recorder never
 //!   creates or bumps a [`crate::Registry`] metric, and the drained
@@ -37,6 +38,14 @@
 //!   carry timestamps the caller already paid for (one subtraction from
 //!   a [`crate::clock::now`] reading) and advance the cached clock for
 //!   free.
+//! * **Sampled hot loops.** The crawl's per-event timers, the
+//!   [`Laps`](crate::span::Laps) of its event loop and the tracker's
+//!   announce latency, read the clock on a deterministic sample of about
+//!   one event in 16 (a [`SampledHistogram`](crate::SampledHistogram))
+//!   and emit complete events for the timed events only, armed or
+//!   sampled alike. Arming adds no clock read to the others, and the
+//!   armed trace of a crawl holds that sample of its ticks and
+//!   announces, not every one.
 //! * **Packed 16-byte ring slots.** Rings store events as a `u32`
 //!   microsecond delta against a per-ring epoch (rebased if a ring ever
 //!   spans more than ~71 minutes), a packed `sym`+kind word and the
@@ -818,18 +827,23 @@ static SAMPLE_ENV: OnceLock<()> = OnceLock::new();
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
+/// FNV-1a over a stream label; `const`, so a fixed label can be hashed
+/// at compile time.
 #[inline]
-fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) const fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
+    let mut i = 0;
+    while i < bytes.len() {
+        h ^= bytes[i] as u64;
         h = h.wrapping_mul(FNV_PRIME);
+        i += 1;
     }
     h
 }
 
+/// [`mix`] with the stream label already hashed by [`fnv1a`].
 #[inline]
-fn mix_hashed(seed: u64, stream_hash: u64, index: u64) -> u64 {
+pub(crate) const fn mix_hashed(seed: u64, stream_hash: u64, index: u64) -> u64 {
     let mut z = seed ^ stream_hash ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

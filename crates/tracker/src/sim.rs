@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use btpub_faults::{key, points, Fault, FaultPlan};
-use btpub_obs::{clock, LocalHistogram};
+use btpub_obs::{clock, SampledHistogram};
 use btpub_sim::rngs;
 use btpub_sim::{Ecosystem, SampleScratch, SimDuration, SimTime, SwarmCursor, TorrentId};
 
@@ -80,14 +80,14 @@ pub struct ReplyCounts {
 
 /// The announce path's meters, kept as plain integers and folded into
 /// the registry by [`TrackerSim::fold_meters`].
-#[derive(Default)]
 struct AnnounceMeters {
     /// `tracker.announce.total`: announces received.
     total: u64,
     /// `hotpath.alloc.saved`: announces that touched the heap zero times.
     alloc_saved: u64,
-    /// `tracker.announce.latency_ns`: time to serve each peer list.
-    latency: LocalHistogram,
+    /// `tracker.announce.latency_ns`: time to serve each peer list,
+    /// counted for every served announce and timed on a sample of them.
+    latency: SampledHistogram,
 }
 
 /// The simulated tracker: serves peer lists sampled from swarm traces,
@@ -96,7 +96,8 @@ struct AnnounceMeters {
 ///
 /// Its hot-path meters live in the tracker itself and reach the
 /// registry at [`TrackerSim::fold_meters`] (the crawler folds at every
-/// RSS poll and at crawl end) and on drop.
+/// RSS poll and at crawl end) and on drop. About one served announce in
+/// 16 reads the clock (see [`SampledHistogram`]); the others read none.
 ///
 /// Every key below is generated by our own deterministic simulation, so
 /// the DoS-resistant (and slower) default SipHash buys nothing — the
@@ -132,7 +133,11 @@ impl<'a> TrackerSim<'a> {
             scratch: SampleScratch::default(),
             sampled: Vec::new(),
             announce_sym: btpub_obs::trace::sym("tracker.announce"),
-            meters: AnnounceMeters::default(),
+            meters: AnnounceMeters {
+                total: 0,
+                alloc_saved: 0,
+                latency: SampledHistogram::new("tracker.announce.latency_ns"),
+            },
         }
     }
 
@@ -174,7 +179,10 @@ impl<'a> TrackerSim<'a> {
         peers: &mut Vec<Ipv4Addr>,
     ) -> Result<ReplyCounts, QueryError> {
         peers.clear();
-        let announce_start = clock::now();
+        // Only the served announces the latency sample picks read the
+        // clock. An announce refused below leaves the sample where it
+        // was, so the next one is timed in its place.
+        let announce_start = self.meters.latency.wants().then(clock::now);
         self.meters.total += 1;
         // Coordinates of this query in the fault plan's draw space: one
         // independent draw per (client, torrent, time) triple.
@@ -256,14 +264,19 @@ impl<'a> TrackerSim<'a> {
             // Warm buffers: this announce touched the heap zero times.
             self.meters.alloc_saved += 1;
         }
-        let announce_ns = clock::now().saturating_sub(announce_start);
-        self.meters.latency.record(announce_ns);
-        // Flight recorder: the announce as a complete ("X") event. This
-        // is the hot path the off-contract is judged on — tracing off,
-        // the whole call is one relaxed load; armed, the epoch offset is
-        // one subtraction from the clock reading the latency histogram
-        // already paid for, so no extra clock read either way.
-        btpub_obs::trace::record_complete_since(self.announce_sym, announce_start, announce_ns);
+        match announce_start {
+            Some(start) => {
+                let announce_ns = clock::now().saturating_sub(start);
+                self.meters.latency.record(announce_ns);
+                // Flight recorder: a timed announce as a complete ("X")
+                // event. Tracing off, the call is one relaxed load;
+                // armed, the epoch offset is one subtraction from the
+                // readings the latency sample already paid for. Untimed
+                // announces record nothing, so arming adds no clock read.
+                btpub_obs::trace::record_complete_since(self.announce_sym, start, announce_ns);
+            }
+            None => self.meters.latency.skip(),
+        }
         // Reply corruption happens on the way back: the tracker has fully
         // processed the announce (state mutated, rate-limit clock reset),
         // but the client cannot parse what it received.
@@ -297,7 +310,8 @@ impl<'a> TrackerSim<'a> {
 
     /// Adds the announces served since the last fold to the registry's
     /// `tracker.announce.total`, `hotpath.alloc.saved` and
-    /// `tracker.announce.latency_ns`.
+    /// `tracker.announce.latency_ns` (one count per served announce; the
+    /// sum and quantiles are estimated from the timed sample).
     /// A meter that recorded nothing is not touched, so the registry
     /// names exactly the meters that counted something.
     pub fn fold_meters(&mut self) {
@@ -309,8 +323,9 @@ impl<'a> TrackerSim<'a> {
             btpub_obs::static_counter!("hotpath.alloc.saved")
                 .add(std::mem::take(&mut m.alloc_saved));
         }
-        if m.latency.count() > 0 {
-            btpub_obs::static_histogram!("tracker.announce.latency_ns").absorb(&mut m.latency);
+        let latency = m.latency.settle();
+        if latency.count() > 0 {
+            btpub_obs::static_histogram!("tracker.announce.latency_ns").absorb(latency);
         }
     }
 }
