@@ -1,12 +1,14 @@
 //! The crawl engine over the simulated ecosystem.
 
+use std::collections::hash_map::Entry;
 use std::net::Ipv4Addr;
 
 use btpub_faults::{CircuitBreaker, FaultPlan, FaultProfile, RetryPolicy};
+use btpub_fxhash::FxHashMap;
 use btpub_obs::span::Laps;
 use btpub_portal::Portal;
 use btpub_sim::engine::EventQueue;
-use btpub_sim::{Ecosystem, SimDuration, SimTime, SwarmCursor, MINUTE};
+use btpub_sim::{Ecosystem, SimDuration, SimTime, SwarmCursor, TorrentId, MINUTE};
 use btpub_tracker::sim::{probe_with, ClientId, ProbeOutcome, QueryError, TrackerSim};
 
 use crate::dataset::{Dataset, IpFailure, Sighting, TorrentRecord};
@@ -84,9 +86,7 @@ impl CrawlerConfig {
 #[derive(Debug)]
 enum Event {
     RssPoll,
-    /// The next query of the torrent whose state is in `slot` of the
-    /// crawl's slab of live states.
-    Query { slot: u32, round: u32 },
+    Query { torrent: TorrentId, round: u32 },
 }
 
 struct TorrentState {
@@ -272,12 +272,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
     let retry_policy = RetryPolicy::announce();
     let horizon = cfg.effective_horizon(eco);
     let mut queue: EventQueue<Event> = EventQueue::new();
-    // The live torrents' states, in a slab: a discovered torrent takes a
-    // free slot (or a new one), its query events carry the slot, and its
-    // slot is freed when monitoring ends, so the slab holds at most the
-    // peak number of torrents monitored at once.
-    let mut states: Vec<Option<TorrentState>> = Vec::new();
-    let mut free: Vec<u32> = Vec::new();
+    let mut states: FxHashMap<TorrentId, TorrentState> = FxHashMap::default();
     let mut discovered = 0usize;
     // Announce replies land in one buffer reused across the whole
     // campaign — the steady-state query loop is allocation-free.
@@ -286,14 +281,13 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
     let mut states_peak = 0usize;
     let mut last_poll = SimTime::ZERO;
     queue.schedule(SimTime::ZERO + cfg.rss_poll, Event::RssPoll);
-    // Schedules the query of `round` for the torrent in `slot` at `at`,
-    // unless that falls past the horizon; returns whether its monitoring
-    // ended there.
-    let schedule_or_end = |queue: &mut EventQueue<Event>, at: SimTime, slot, round| {
+    // Schedules `torrent`'s query of `round` at `at`, unless that falls
+    // past the horizon; returns whether its monitoring ended there.
+    let schedule_or_end = |queue: &mut EventQueue<Event>, at: SimTime, torrent, round| {
         if at > horizon {
             return true;
         }
-        queue.schedule(at, Event::Query { slot, round });
+        queue.schedule(at, Event::Query { torrent, round });
         false
     };
 
@@ -365,20 +359,17 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                         ident_attempts_left: cfg.ident_attempts,
                         fault_retries: 0,
                     };
-                    let slot = match free.pop() {
-                        Some(slot) => {
-                            states[slot as usize] = Some(state);
-                            slot
-                        }
-                        None => {
-                            states.push(Some(state));
-                            (states.len() - 1) as u32
-                        }
-                    };
-                    states_peak = states_peak.max(states.len() - free.len());
+                    states.insert(item.torrent, state);
+                    states_peak = states_peak.max(states.len());
                     discovered += 1;
                     // Pounce: first contact within a minute of discovery.
-                    queue.schedule(now + SimDuration(30), Event::Query { slot, round: 0 });
+                    queue.schedule(
+                        now + SimDuration(30),
+                        Event::Query {
+                            torrent: item.torrent,
+                            round: 0,
+                        },
+                    );
                 }
                 btpub_obs::static_histogram!("crawler.rss.batch").record(batch);
                 btpub_obs::static_counter!("crawler.torrents.discovered").add(batch);
@@ -393,12 +384,13 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                     queue.schedule(next, Event::RssPoll);
                 }
             }
-            Event::Query { slot, round } => {
-                // The labeled block says whether monitoring ended.
-                let Some(state) = states[slot as usize].as_mut() else {
+            Event::Query { torrent, round } => {
+                // One map lookup per query: the entry is held across the
+                // arm, and the labeled block says whether monitoring ended.
+                let Entry::Occupied(mut slot) = states.entry(torrent) else {
                     unreachable!("queries are scheduled only for monitored torrents");
                 };
-                let torrent = state.record.torrent;
+                let state = slot.get_mut();
                 let ended = 'query: {
                 let first_contact = state.record.first_contact_at.is_none();
                 if first_contact {
@@ -454,7 +446,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                         .map(|p| p.jitter("breaker.spread", u64::from(torrent.0), 120))
                         .unwrap_or(0);
                     let retry = SimTime(at + 1 + spread);
-                    let ended = schedule_or_end(&mut queue, retry, slot, round);
+                    let ended = schedule_or_end(&mut queue, retry, torrent, round);
                     if ended {
                         state.fail_once(IpFailure::TrackerDown);
                     }
@@ -473,7 +465,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                 ) {
                     Ok(r) => r,
                     Err(QueryError::RateLimited { retry_at }) => {
-                        queue.schedule(retry_at + SimDuration(1), Event::Query { slot, round });
+                        queue.schedule(retry_at + SimDuration(1), Event::Query { torrent, round });
                         break 'query false;
                     }
                     Err(
@@ -501,7 +493,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                             state.fail_once(fault_cause(err));
                             state.fault_retries = 0;
                             let next = now + spacing;
-                            break 'query schedule_or_end(&mut queue, next, slot, round + 1);
+                            break 'query schedule_or_end(&mut queue, next, torrent, round + 1);
                         }
                         // Exponential backoff with deterministic jitter;
                         // at least 1 s so the retry lands on a fresh draw.
@@ -538,7 +530,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                         if let Some(at) = breaker.retry_at(now.secs()) {
                             retry = retry.max(SimTime(at + 1));
                         }
-                        let ended = schedule_or_end(&mut queue, retry, slot, retry_round);
+                        let ended = schedule_or_end(&mut queue, retry, torrent, retry_round);
                         if ended {
                             state.fail_once(fault_cause(err));
                         }
@@ -655,15 +647,13 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                 // crawler must not earn strikes when the load-dependent
                 // interval drifts upward between queries (§2: being
                 // blacklisted would end the campaign).
-                schedule_or_end(&mut queue, now + spacing, slot, round + 1)
+                schedule_or_end(&mut queue, now + spacing, torrent, round + 1)
                 }; // end 'query
                 // Every exit path lands here: a torrent whose monitoring
                 // just ended is finalized and emitted (or buffered until
                 // its predecessors emit) immediately, freeing its state.
                 if ended {
-                    let st = states[slot as usize].take().expect("the state the arm read");
-                    free.push(slot);
-                    emitter.finish(st, &portal, horizon, sink);
+                    emitter.finish(slot.remove(), &portal, horizon, sink);
                 }
             }
         }
@@ -678,7 +668,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
     // partial-monitoring records would hand a resumed run different
     // bytes than the uninterrupted one.
     if !stopped_early {
-        let mut live: Vec<TorrentState> = states.into_iter().flatten().collect();
+        let mut live: Vec<TorrentState> = states.into_values().collect();
         live.sort_unstable_by_key(|st| st.idx);
         for st in live {
             emitter.finish(st, &portal, horizon, sink);

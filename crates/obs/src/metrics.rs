@@ -352,14 +352,9 @@ impl SampledHistogram {
     /// An empty meter whose gaps are drawn from the stream `label`;
     /// name it after the metric it feeds.
     pub fn new(label: &str) -> SampledHistogram {
-        SampledHistogram::with_stream(crate::trace::fnv1a(label.as_bytes()))
-    }
-
-    /// [`Self::new`] with the label already hashed.
-    pub(crate) fn with_stream(stream: u64) -> SampledHistogram {
         SampledHistogram {
             local: LocalHistogram::default(),
-            stream,
+            stream: crate::trace::fnv1a(label.as_bytes()),
             next: 0,
             next_measured: 0,
             held: 0,

@@ -9,17 +9,16 @@
 //! ancestor of it.
 //!
 //! A loop that runs millions of times a study times its iterations as
-//! [`Laps`] instead: about one iteration in 16 reads the clock, and the
-//! laps are folded into the same two metrics (and the parent frame's
-//! child time) at the loop's checkpoints. The registry then counts
-//! exactly the iterations per-iteration spans would have, and estimates
-//! their time from the timed ones.
+//! [`Laps`] instead: one integer-clock read per iteration, recorded into
+//! a histogram the loop owns and folded into the same two metrics (and
+//! the parent frame's child time) at the loop's checkpoints, so the
+//! registry sees exactly what per-iteration spans would have recorded.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::clock;
-use crate::metrics::{Counter, Histogram, SampledHistogram};
+use crate::metrics::{Counter, Histogram, LocalHistogram};
 use crate::registry::global;
 
 thread_local! {
@@ -37,8 +36,6 @@ pub struct SpanTarget {
     total: Arc<Histogram>,
     self_ns: Arc<Counter>,
     sym: crate::trace::Sym,
-    /// The span's name, hashed: the stream a [`Laps`] sample draws from.
-    stream: u64,
 }
 
 impl SpanTarget {
@@ -51,7 +48,6 @@ impl SpanTarget {
             total: reg.histogram(&format!("span.{name}.ns")),
             self_ns: reg.counter(&format!("span.{name}.self_ns")),
             sym: crate::trace::sym(name),
-            stream: crate::trace::fnv1a(name.as_bytes()),
         }
     }
 }
@@ -104,77 +100,55 @@ impl Drop for SpanGuard {
     }
 }
 
-/// A span timed as the laps of a loop, on a sample of them: the loop
-/// calls [`Laps::lap`] at the end of every iteration, and the laps a
-/// [`SampledHistogram`] picks (about one in
-/// [`SAMPLE_PERIOD`](crate::metrics::SAMPLE_PERIOD), aperiodic, a pure
-/// function of the span's name and the lap's index) read the clock at
-/// their start and end. The other laps read no clock at all. [`Laps::fold`] moves the laps
-/// counted so far into the span's `span.<name>.ns` histogram and
-/// `span.<name>.self_ns` counter, and credits their total to the
-/// enclosing span's frame. The count is exact, one per lap, as one
-/// [`SpanGuard`] per iteration would record; the sum and quantiles are
-/// estimates, each timed lap weighted by the laps it stands for. Spans
-/// opened inside a lap count as its children, timed in full.
+/// A span timed as the laps of a loop: each [`Laps::lap`] closes one
+/// iteration with a single [`clock::now`] read (the next lap starts
+/// where this one ended) and records it into a histogram the loop owns.
+/// [`Laps::fold`] moves what the laps gathered into the span's
+/// `span.<name>.ns` histogram and `span.<name>.self_ns` counter and
+/// credits their total to the enclosing span's frame, exactly what one
+/// [`SpanGuard`] per iteration would have recorded. Spans opened inside
+/// a lap count as its children.
 ///
-/// The estimate is biased upward by about one clock read per lap: a
-/// timed lap holds the halves of the two reads that bound it, which an
-/// untimed lap does not pay. Armed, the timed laps are complete trace
-/// events and the others record nothing. Fold at the loop's checkpoints
-/// and between laps only (no span of the loop body open); dropping
-/// folds the rest. Like a [`SpanGuard`], a `Laps` must drop in LIFO
-/// order with the spans around it.
+/// Armed, every lap is still one complete trace event. Fold at the
+/// loop's checkpoints and between laps only (no span of the loop body
+/// open); dropping folds the rest. Like a [`SpanGuard`], a `Laps` must
+/// drop in LIFO order with the spans around it.
 pub struct Laps {
     target: &'static SpanTarget,
-    laps: SampledHistogram,
-    /// [`clock::now`] at the start of the current lap; read only when
-    /// that lap is timed.
-    start: u64,
+    laps: LocalHistogram,
+    /// [`clock::now`] at the end of the previous lap.
+    last: u64,
 }
 
 impl Laps {
-    /// Starts the first lap, which is always timed, against
-    /// pre-resolved metric handles; prefer the [`crate::laps!`] macro.
+    /// Starts the first lap against pre-resolved metric handles; prefer
+    /// the [`crate::laps!`] macro.
     pub fn start(target: &'static SpanTarget) -> Laps {
         STACK.with_borrow_mut(|s| s.push(0));
         Laps {
             target,
-            laps: SampledHistogram::with_stream(target.stream),
-            start: clock::now(),
+            laps: LocalHistogram::default(),
+            last: clock::now(),
         }
     }
 
     /// Ends the current lap and starts the next one.
     #[inline]
     pub fn lap(&mut self) {
-        if self.laps.wants() {
-            self.timed_lap();
-        } else {
-            self.laps.skip();
-            if self.laps.wants() {
-                self.start = clock::now();
-            }
-        }
-    }
-
-    /// Ends a timed lap; the reading also starts the next lap, in case
-    /// that one is timed too.
-    fn timed_lap(&mut self) {
         let now = clock::now();
-        let dur = now.saturating_sub(self.start);
+        let dur = now.saturating_sub(self.last);
         self.laps.record(dur);
-        crate::trace::record_complete_since(self.target.sym, self.start, dur);
-        self.start = now;
+        crate::trace::record_complete_since(self.target.sym, self.last, dur);
+        self.last = now;
     }
 
-    /// Folds the laps counted since the last fold into the registry and
+    /// Folds the laps recorded since the last fold into the registry and
     /// the enclosing frame.
     pub fn fold(&mut self) {
-        let laps = self.laps.settle();
-        if laps.count() == 0 {
+        if self.laps.count() == 0 {
             return;
         }
-        let total_ns = laps.sum();
+        let total_ns = self.laps.sum();
         let child_ns = STACK.with_borrow_mut(|s| {
             let n = s.len();
             if n >= 2 {
@@ -182,7 +156,7 @@ impl Laps {
             }
             s.last_mut().map_or(0, std::mem::take)
         });
-        self.target.total.absorb(laps);
+        self.target.total.absorb(&mut self.laps);
         self.target
             .self_ns
             .add(total_ns.saturating_sub(child_ns));
@@ -263,43 +237,36 @@ mod tests {
 
     #[test]
     fn laps_record_what_per_iteration_spans_would() {
-        const LAPS: u64 = 40;
-        let spin_ns = 200_000 + 100_000;
         {
             let _outer = crate::span!("test.laps_outer");
             let mut laps = crate::laps!("test.laps");
-            for i in 0..LAPS {
+            for i in 0..6 {
                 spin(Duration::from_micros(200));
-                {
+                if i == 2 {
                     let _inner = crate::span!("test.laps_inner");
-                    spin(Duration::from_micros(100));
+                    spin(Duration::from_millis(2));
                 }
                 laps.lap();
-                if i == 13 {
+                if i == 3 {
                     laps.fold();
                 }
             }
         }
         let reg = global();
         let laps = reg.histogram("span.test.laps.ns");
-        let inner = reg.histogram("span.test.laps_inner.ns");
-        // One count per lap, however many folds, though only a sample of
-        // the laps read the clock.
-        assert_eq!(laps.count(), LAPS);
-        assert_eq!(inner.count(), LAPS);
-        // Every timed lap spins for `spin_ns`, and the weights sum to the
-        // lap count, so the estimated sum is at least `LAPS * spin_ns`.
-        assert!(laps.sum() >= LAPS * spin_ns, "laps {}ns", laps.sum());
-        // The inner spans are the laps' children, not the outer span's:
-        // their time comes off the laps' self time (down to zero in a
-        // fold where it exceeds the estimate)...
-        let laps_self = reg.counter("span.test.laps.self_ns").value();
-        assert!(laps_self < laps.sum(), "laps self {laps_self}ns");
-        assert!(laps_self + inner.sum() >= laps.sum(), "laps self {laps_self}ns");
-        // ...and the laps' estimated total is the outer span's child time.
+        let inner = reg.histogram("span.test.laps_inner.ns").sum();
+        // One sample per lap, however many folds.
+        assert_eq!(laps.count(), 6);
+        assert!(laps.sum() >= 6 * 200_000 + inner, "laps {}ns", laps.sum());
+        // The inner span is the laps' child, not the outer span's.
+        assert_eq!(
+            reg.counter("span.test.laps.self_ns").value(),
+            laps.sum() - inner
+        );
+        // The laps are the outer span's child time.
         let outer_total = reg.histogram("span.test.laps_outer.ns").sum();
         let outer_self = reg.counter("span.test.laps_outer.self_ns").value();
-        assert_eq!(outer_self, outer_total.saturating_sub(laps.sum()));
+        assert_eq!(outer_self, outer_total - laps.sum());
     }
 
     #[test]

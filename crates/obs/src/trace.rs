@@ -38,14 +38,13 @@
 //!   carry timestamps the caller already paid for (one subtraction from
 //!   a [`crate::clock::now`] reading) and advance the cached clock for
 //!   free.
-//! * **Sampled hot loops.** The crawl's per-event timers, the
-//!   [`Laps`](crate::span::Laps) of its event loop and the tracker's
-//!   announce latency, read the clock on a deterministic sample of about
-//!   one event in 16 (a [`SampledHistogram`](crate::SampledHistogram))
-//!   and emit complete events for the timed events only, armed or
-//!   sampled alike. Arming adds no clock read to the others, and the
-//!   armed trace of a crawl holds that sample of its ticks and
-//!   announces, not every one.
+//! * **Sampled announce timer.** The tracker's announce latency reads
+//!   the clock on a deterministic sample of about one announce in 16 (a
+//!   [`SampledHistogram`](crate::SampledHistogram)) and emits complete
+//!   events for the timed announces only, armed or sampled alike, so
+//!   arming adds no clock read to the others. The crawl's
+//!   [`Laps`](crate::span::Laps) still read the clock once per event and
+//!   emit every tick.
 //! * **Packed 16-byte ring slots.** Rings store events as a `u32`
 //!   microsecond delta against a per-ring epoch (rebased if a ring ever
 //!   spans more than ~71 minutes), a packed `sym`+kind word and the
@@ -413,6 +412,8 @@ impl RingBuf {
     /// delta from nanoseconds. A batch epoch behind the ring's (a span
     /// that opened before the ring's first event) moves the epoch back;
     /// an event past the u32-µs window rebases the ring, as in [`push`].
+    /// A batch that fits the window, the usual case, is copied in at
+    /// most three slice runs, without a per-event branch.
     fn absorb(&mut self, batch_base_ns: u64, events: &[Packed]) {
         if events.is_empty() {
             return;
@@ -425,6 +426,31 @@ impl RingBuf {
             self.move_epoch_back(batch_base_ns);
         }
         let mut shift_us = batch_base_ns.saturating_sub(self.base_ns) / 1000;
+        let newest_us = events.iter().map(|p| p.dt_us).max().unwrap_or(0);
+        if shift_us + u64::from(newest_us) <= u64::from(u32::MAX) {
+            let shift = shift_us as u32;
+            let shifted = |p: &Packed| Packed {
+                dt_us: p.dt_us + shift,
+                ..*p
+            };
+            let mut rest = events;
+            if self.buf.len() < self.capacity {
+                let fill = (self.capacity - self.buf.len()).min(rest.len());
+                self.buf.extend(rest[..fill].iter().map(shifted));
+                rest = &rest[fill..];
+            }
+            while !rest.is_empty() {
+                let run = (self.capacity - self.head).min(rest.len());
+                let slots = &mut self.buf[self.head..self.head + run];
+                for (slot, p) in slots.iter_mut().zip(&rest[..run]) {
+                    *slot = shifted(p);
+                }
+                self.head = (self.head + run) % self.capacity;
+                self.dropped += run as u64;
+                rest = &rest[run..];
+            }
+            return;
+        }
         for p in events {
             let mut dt = shift_us + u64::from(p.dt_us);
             if dt > u64::from(u32::MAX) {
@@ -827,23 +853,19 @@ static SAMPLE_ENV: OnceLock<()> = OnceLock::new();
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
-/// FNV-1a over a stream label; `const`, so a fixed label can be hashed
-/// at compile time.
 #[inline]
-pub(crate) const fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
-    let mut i = 0;
-    while i < bytes.len() {
-        h ^= bytes[i] as u64;
+    for &b in bytes {
+        h ^= u64::from(b);
         h = h.wrapping_mul(FNV_PRIME);
-        i += 1;
     }
     h
 }
 
-/// [`mix`] with the stream label already hashed by [`fnv1a`].
+/// [`mix`] with the stream label already hashed by `fnv1a`.
 #[inline]
-pub(crate) const fn mix_hashed(seed: u64, stream_hash: u64, index: u64) -> u64 {
+pub(crate) fn mix_hashed(seed: u64, stream_hash: u64, index: u64) -> u64 {
     let mut z = seed ^ stream_hash ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -1646,6 +1668,40 @@ mod tests {
             vec![50_000, 20_000, 10_000],
             "no event clamps to a later epoch"
         );
+    }
+
+    #[test]
+    fn ring_absorbs_batches_as_it_pushes_events() {
+        let s = sym("test.ring.absorb");
+        let kind = pack_sym_kind(s, EventKind::Instant);
+        let (mut pushed, mut absorbed) = (RingBuf::with_capacity(7), RingBuf::with_capacity(7));
+        // Batches of 3 against a 7-slot ring: they cross the fill point
+        // and then the wrap point at every offset.
+        for batch in 0..9u64 {
+            let base_ns = 1_000_000 + batch * 10_000;
+            let events: Vec<Packed> = (0..3u64)
+                .map(|i| Packed {
+                    dt_us: (5 * i) as u32,
+                    sym_kind: kind,
+                    payload: batch * 3 + i,
+                })
+                .collect();
+            for p in &events {
+                pushed.push(Event {
+                    t_ns: base_ns + u64::from(p.dt_us) * 1000,
+                    payload: p.payload,
+                    sym: s,
+                    kind: EventKind::Instant,
+                });
+            }
+            absorbed.absorb(base_ns, &events);
+            let held = |ring: &RingBuf| -> Vec<(u64, u64)> {
+                ring.last(7).iter().map(|e| (e.t_ns, e.payload)).collect()
+            };
+            assert_eq!(held(&absorbed), held(&pushed), "after batch {batch}");
+            assert_eq!(absorbed.dropped(), pushed.dropped(), "after batch {batch}");
+        }
+        assert_eq!(absorbed.dropped(), 20);
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! clients take turns on each torrent, each re-announcing it every
 //! 900 s, so no announce is refused, and the tracker's rate-limit map is
 //! warm before the first timed lap, so no announce pays for its growth.
+//! Each announce also ends one lap of a [`Laps`], as each event of the
+//! crawl loop does. The tracker times about one announce in 16 and
+//! records only those, but every lap reads the clock, so armed, every
+//! announce records at least one complete event: the gate bounds the
+//! recorder's cost per event, not a sixteenth of it.
 //! A debug build says nothing about that cost, so the test is ignored
 //! by default; `scripts/check.sh` runs it in release with `--ignored`.
 //! It has a test binary of its own so no other test's threads share the
@@ -17,6 +22,7 @@ use std::net::Ipv4Addr;
 use std::time::Instant;
 
 use btpub::{Scale, Scenario};
+use btpub_obs::span::Laps;
 use btpub_obs::trace;
 use btpub_sim::{Ecosystem, SimDuration, SimTime, SwarmCursor, TorrentId};
 use btpub_tracker::TrackerSim;
@@ -39,12 +45,15 @@ const VANTAGE: u32 = 4;
 /// interval, which is the cadence the crawler keeps.
 const SPACING: u64 = 225;
 
-/// The crawl's per-torrent state: a swarm cursor and the next round.
+/// The crawl's state: per torrent a swarm cursor and the next round,
+/// and the event loop's tick laps.
 struct Crawl {
     cursors: Vec<SwarmCursor>,
     rounds: Vec<u32>,
     /// The torrent the next announce goes to; torrents take turns.
     next: usize,
+    /// One lap per announce, as the crawl loop laps once per event.
+    ticks: Laps,
 }
 
 /// One timed lap of warm announces; returns seconds per announce.
@@ -76,6 +85,7 @@ fn timed_lap(
             50,
             peers,
         );
+        crawl.ticks.lap();
         refused += usize::from(reply.is_err());
     }
     let secs = t0.elapsed().as_secs_f64() / f64::from(BATCH);
@@ -120,6 +130,7 @@ fn armed_recorder_costs_at_most_five_percent_per_announce() {
             .collect(),
         rounds: vec![0; eco.publications.len()],
         next: 0,
+        ticks: btpub_obs::laps!("test.trace_overhead.tick"),
     };
     // Warm laps until every client has announced every torrent: the
     // reply buffer, the tracker's maps and the interned trace symbols.
