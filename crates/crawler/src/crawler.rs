@@ -4,7 +4,7 @@ use std::collections::hash_map::Entry;
 use std::net::Ipv4Addr;
 
 use btpub_faults::{CircuitBreaker, FaultPlan, FaultProfile, RetryPolicy};
-use btpub_fxhash::FxHashMap;
+use btpub_fxhash::{FxHashMap, FxHashSet};
 use btpub_obs::span::Laps;
 use btpub_portal::Portal;
 use btpub_sim::engine::EventQueue;
@@ -97,6 +97,11 @@ struct TorrentState {
     /// Where the last announce fell in the torrent's swarm; queries only
     /// move forward, so the tracker steps it instead of searching.
     cursor: SwarmCursor,
+    /// Distinct peer addresses sighted so far: one hash probe per
+    /// sampled peer, and O(distinct peers) resident however long the
+    /// torrent is monitored. `finalize_record` sorts them into
+    /// `observed_ips`, so the set's hash order is never observed.
+    observed: FxHashSet<u32>,
     empty_streak: u32,
     /// When the current run of empty replies began.
     empty_since: Option<SimTime>,
@@ -123,6 +128,18 @@ fn fault_cause(err: QueryError) -> IpFailure {
         QueryError::Malformed { .. } => IpFailure::MalformedReply,
         _ => IpFailure::GaveUpRetrying,
     }
+}
+
+/// A served reply's peers, by torrent.
+#[cfg(test)]
+type Reply = (TorrentId, Vec<u32>);
+
+// Once a test arms it, every served reply, in the order the crawl
+// sighted them: what the sighting test checks `observed_ips` against.
+#[cfg(test)]
+thread_local! {
+    static REPLIES: std::cell::RefCell<Option<Vec<Reply>>> =
+        const { std::cell::RefCell::new(None) };
 }
 
 /// Finalized-record bookkeeping. Torrents finish monitoring in event
@@ -192,8 +209,8 @@ impl OrderedEmitter {
 /// time-invariant ground truth, so finalizing early sees exactly what
 /// end-of-campaign postprocessing used to see.
 fn finalize_record(mut st: TorrentState, portal: &Portal, horizon: SimTime) -> TorrentRecord {
+    st.record.observed_ips.extend(st.observed.drain());
     st.record.observed_ips.sort_unstable();
-    st.record.observed_ips.dedup();
     st.record.observed_removed |= portal.is_removed(st.record.torrent, horizon);
     // Torrents discovered on the campaign's last RSS polls may have
     // their first query scheduled past the horizon and never be
@@ -354,6 +371,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                             observed_removed: false,
                         },
                         cursor: eco.swarms[item.torrent.0 as usize].cursor_at(now),
+                        observed: FxHashSet::default(),
                         empty_streak: 0,
                         empty_since: None,
                         ident_attempts_left: cfg.ident_attempts,
@@ -544,19 +562,18 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                 breaker.on_success();
                 state.fault_retries = 0;
                 let population = (reply.complete + reply.incomplete) as usize;
-                // Record the sighting. `observed_ips` is kept sorted and
-                // deduplicated *as replies stream in*: `finalize_record`
-                // sorts and dedups anyway, so the emitted record is
-                // unchanged, but the in-flight vector no longer
-                // accumulates every duplicate of every 15-minute reply
-                // for the torrent's whole monitored life — per-torrent
-                // resident memory is O(distinct peers), not O(polls).
-                for ip in &peers {
-                    let ip = u32::from(*ip);
-                    if let Err(pos) = state.record.observed_ips.binary_search(&ip) {
-                        state.record.observed_ips.insert(pos, ip);
+                // Record the sighting. Peers are deduplicated *as
+                // replies stream in*, so the torrent does not accumulate
+                // every duplicate of every 15-minute reply for its whole
+                // monitored life: per-torrent resident memory is
+                // O(distinct peers), not O(polls).
+                state.observed.extend(peers.iter().map(|&ip| u32::from(ip)));
+                #[cfg(test)]
+                REPLIES.with(|r| {
+                    if let Some(replies) = r.borrow_mut().as_mut() {
+                        replies.push((torrent, peers.iter().map(|&ip| u32::from(ip)).collect()));
                     }
-                }
+                });
                 let publisher_seen = state
                     .record
                     .publisher_ip
@@ -856,6 +873,44 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn observed_ips_are_the_sorted_union_of_the_sampled_peers() {
+        let (e, _) = shared();
+        REPLIES.with(|r| *r.borrow_mut() = Some(Vec::new()));
+        let ds = crawl(e);
+        let replies = REPLIES.with(|r| r.borrow_mut().take()).unwrap_or_default();
+        let mut union: std::collections::BTreeMap<TorrentId, Vec<u32>> = Default::default();
+        let mut sampled = 0usize;
+        for (torrent, peers) in replies {
+            sampled += peers.len();
+            union.entry(torrent).or_default().extend(peers);
+        }
+        let mut repeats = 0usize;
+        for rec in &ds.torrents {
+            let mut want = union.remove(&rec.torrent).unwrap_or_default();
+            let seen = rec
+                .sightings
+                .iter()
+                .map(|s| s.sampled as usize)
+                .sum::<usize>();
+            assert_eq!(
+                seen,
+                want.len(),
+                "sightings of {:?} count its replies",
+                rec.torrent
+            );
+            want.sort_unstable();
+            want.dedup();
+            repeats += seen - want.len();
+            assert_eq!(rec.observed_ips, want, "observed_ips of {:?}", rec.torrent);
+        }
+        assert!(union.is_empty(), "replies for torrents with no record");
+        assert!(
+            sampled > 0 && repeats > 0,
+            "peers are sighted more than once"
+        );
     }
 
     #[test]

@@ -6,18 +6,41 @@
 //! its own loop.
 //! Events with equal timestamps pop in insertion order, which keeps runs
 //! deterministic.
+//!
+//! Most events are scheduled a fixed delay after the current instant
+//! (the crawler's query spacing, its pounce, its poll period), so the
+//! queue keeps a few FIFO lanes keyed by delay next to a binary heap.
+//! An event `d` after `now` joins the lane for `d`: `now` never
+//! decreases and every event takes a larger sequence number, so each
+//! lane is already in `(at, seq)` order and push and pop are O(1).
+//! Delays that find no lane go to the heap, and [`EventQueue::pop`]
+//! takes the least `(at, seq)` of the lane heads and the heap top, so
+//! the pop order is exactly the heap's for any schedule.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
+
+/// FIFO lanes next to the heap: one per delay in use, enough for the
+/// crawler's fixed delays with one to spare for its retries.
+const LANES: usize = 4;
 
 /// A time-ordered event queue over an arbitrary payload type.
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    lanes: [Lane<E>; LANES],
     heap: BinaryHeap<Reverse<Entry<E>>>,
     seq: u64,
     now: SimTime,
+}
+
+/// Events scheduled `delay` after the instant they were scheduled at,
+/// in `(at, seq)` order. An empty lane may be taken for another delay.
+#[derive(Debug)]
+struct Lane<E> {
+    delay: u64,
+    entries: VecDeque<Entry<E>>,
 }
 
 #[derive(Debug)]
@@ -27,9 +50,15 @@ struct Entry<E> {
     event: E,
 }
 
+impl<E> Entry<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -40,7 +69,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -54,6 +83,10 @@ impl<E> EventQueue<E> {
     /// An empty queue positioned at the epoch.
     pub fn new() -> Self {
         EventQueue {
+            lanes: std::array::from_fn(|_| Lane {
+                delay: 0,
+                entries: VecDeque::new(),
+            }),
             heap: BinaryHeap::new(),
             seq: 0,
             now: SimTime::ZERO,
@@ -67,6 +100,9 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at absolute time `at`.
     ///
+    /// The event joins the lane of its delay `at - now`, or takes an
+    /// empty lane for that delay, or else goes to the heap.
+    ///
     /// # Panics
     /// Panics if `at` is in the simulated past — that is always a logic
     /// error in the caller, and silently reordering would corrupt runs.
@@ -76,29 +112,56 @@ impl<E> EventQueue<E> {
             "scheduling into the past: {at:?} < now {:?}",
             self.now
         );
-        self.heap.push(Reverse(Entry {
+        let entry = Entry {
             at,
             seq: self.seq,
             event,
-        }));
+        };
         self.seq += 1;
+        let delay = at.0 - self.now.0;
+        let lane = self
+            .lanes
+            .iter()
+            .position(|l| l.delay == delay)
+            .or_else(|| self.lanes.iter().position(|l| l.entries.is_empty()));
+        match lane {
+            Some(i) => {
+                let lane = &mut self.lanes[i];
+                lane.delay = delay;
+                lane.entries.push_back(entry);
+            }
+            None => self.heap.push(Reverse(entry)),
+        }
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(entry) = self.heap.pop()?;
+        let mut first = self.heap.peek().map(|Reverse(e)| e.key());
+        let mut from_lane = None;
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if let Some(head) = lane.entries.front() {
+                if first.is_none_or(|k| head.key() < k) {
+                    first = Some(head.key());
+                    from_lane = Some(i);
+                }
+            }
+        }
+        let entry = match from_lane {
+            Some(i) => self.lanes[i].entries.pop_front()?,
+            None => self.heap.pop()?.0,
+        };
         self.now = entry.at;
         Some((entry.at, entry.event))
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lanes.iter().map(|l| l.entries.len()).sum::<usize>()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lanes.iter().all(|l| l.entries.is_empty())
     }
 }
 
@@ -180,6 +243,32 @@ mod tests {
         assert_eq!(q.pop(), Some((t(5), 1)));
         assert_eq!(q.now(), t(5));
         assert_eq!(q.pop(), Some((t(6), 2)));
+    }
+
+    /// Delays past the lane count wait in the heap, an emptied lane is
+    /// taken by the next new delay, and the pops interleave both in
+    /// `(at, seq)` order.
+    #[test]
+    fn lanes_overflow_into_the_heap_in_order() {
+        let mut q = EventQueue::new();
+        for (i, d) in [50u64, 10, 40, 20, 30, 10, 0].into_iter().enumerate() {
+            q.schedule(t(d), i);
+        }
+        // 50, 10, 40 and 20 take the four lanes; 30 and the zero delay
+        // find none left, while the second 10 joins its lane.
+        assert_eq!(q.heap.len(), 2);
+        assert_eq!(q.len(), 7);
+        let first: Vec<(SimTime, usize)> = (0..3).filter_map(|_| q.pop()).collect();
+        assert_eq!(first, vec![(t(0), 6), (t(10), 1), (t(10), 5)]);
+        // The 10 lane is empty now, so a new delay takes it.
+        q.schedule(t(10 + 25), 7);
+        assert_eq!(q.heap.len(), 1);
+        let rest: Vec<(SimTime, usize)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            rest,
+            vec![(t(20), 3), (t(30), 4), (t(35), 7), (t(40), 2), (t(50), 0)]
+        );
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -82,15 +82,18 @@ pub struct SampleScratch {
     picked: FxHashSet<usize>,
 }
 
-/// Where one instant falls in a swarm's sorted schedules: the counts
-/// and the sampling window a tracker reply needs, found once.
+/// Where one instant falls in a swarm's sorted schedules: the counts,
+/// the sampling window and the active peers a tracker reply needs,
+/// found once.
 ///
-/// [`SwarmTrace::cursor_at`] finds them with binary searches;
-/// [`SwarmTrace::seek`] moves a cursor to a later instant by stepping
-/// each index forward, which for a torrent queried every few minutes is
-/// a handful of sequential reads instead of a dozen searches over cold
-/// arrays. A cursor belongs to the trace that made it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`SwarmTrace::cursor_at`] finds them with binary searches and a scan
+/// of the window; [`SwarmTrace::seek`] moves a cursor to a later
+/// instant by stepping each index forward and updating the live list
+/// with the peers that arrived or departed in between, which for a
+/// torrent queried every few minutes is a handful of reads instead of a
+/// dozen searches over cold arrays. A cursor belongs to the trace that
+/// made it.
+#[derive(Debug, Clone)]
 pub struct SwarmCursor {
     /// The instant the indices describe.
     t: SimTime,
@@ -105,7 +108,29 @@ pub struct SwarmCursor {
     /// Peers that arrived before `t - max_residency`, which cannot be
     /// active at `t`: the start of the sampling window.
     window_lo: usize,
+    /// Indices into the trace's peers of those active at `t`, ascending.
+    /// A peer that departed is tagged with `GONE` in place and stays
+    /// until the tags outnumber the active entries, when one pass drops
+    /// them all; so each departure costs a binary search, and the list
+    /// holds at most about twice the active peers.
+    live: Vec<u32>,
 }
+
+/// Tags a departed peer's entry in a cursor's live list. Peer indices
+/// stay below it (checked when a trace is built), so a tagged entry
+/// still sorts by its index once the tag is masked off.
+const GONE: u32 = 1 << 31;
+
+impl PartialEq for SwarmCursor {
+    /// Equal positions: the same instant, indices and active peers,
+    /// whatever departed entries either live list still holds.
+    fn eq(&self, other: &Self) -> bool {
+        let at = |c: &Self| (c.t, c.arrived, c.departed, c.completed, c.gone, c.window_lo);
+        at(self) == at(other) && self.live().eq(other.live())
+    }
+}
+
+impl Eq for SwarmCursor {}
 
 /// Forward steps a [`SwarmTrace::seek`] takes one element at a time
 /// before it binary-searches the rest, so a long jump costs O(log n).
@@ -148,6 +173,16 @@ impl SwarmCursor {
     pub fn window(&self) -> std::ops::Range<usize> {
         self.window_lo..self.arrived
     }
+
+    /// Indices into the trace's peers of those active at the cursor's
+    /// instant, ascending: [`Self::active`] of them, all in
+    /// [`Self::window`].
+    pub fn live(&self) -> impl Iterator<Item = usize> + '_ {
+        self.live
+            .iter()
+            .filter(|&&i| (i & GONE) == 0)
+            .map(|&i| i as usize)
+    }
 }
 
 /// The complete trace of one swarm.
@@ -171,8 +206,9 @@ pub struct SwarmTrace {
     pub removal_at: Option<SimTime>,
     /// Peers sorted by arrival time.
     peers: Vec<PeerRecord>,
-    /// All departures, sorted (for O(log n) active counts).
-    departures: Vec<u64>,
+    /// Indices into `peers` in departure order (ties by index): the
+    /// departed count at an instant, and which peers those are.
+    departure_order: Vec<u32>,
     /// All completion times, sorted.
     completions: Vec<u64>,
     /// Departures of completing peers only, sorted.
@@ -198,23 +234,26 @@ impl SwarmTrace {
         mut peers: Vec<PeerRecord>,
     ) -> Self {
         assert!(birth <= announce_at, "birth after announcement");
+        assert!(
+            peers.len() < GONE as usize,
+            "too many peers for u32 indices"
+        );
         peers.sort_by_key(|p| p.arrival);
         // One counting scan buys exact capacities, then a single pass
-        // fills all three schedules and the residency bound together.
+        // fills the schedules and the residency bound together.
         let completers = peers.iter().filter(|p| p.completed.is_some()).count();
-        let mut departures: Vec<u64> = Vec::with_capacity(peers.len());
         let mut completions: Vec<u64> = Vec::with_capacity(completers);
         let mut completer_departures: Vec<u64> = Vec::with_capacity(completers);
         let mut max_residency = 0u64;
         for p in &peers {
-            departures.push(p.departure.0);
             if let Some(c) = p.completed {
                 completions.push(c.0);
                 completer_departures.push(p.departure.0);
             }
             max_residency = max_residency.max(p.departure.since(p.arrival).secs());
         }
-        departures.sort_unstable();
+        let mut departure_order: Vec<u32> = (0..peers.len() as u32).collect();
+        departure_order.sort_unstable_by_key(|&i| (peers[i as usize].departure, i));
         completions.sort_unstable();
         completer_departures.sort_unstable();
         SwarmTrace {
@@ -225,7 +264,7 @@ impl SwarmTrace {
             sessions,
             removal_at,
             peers,
-            departures,
+            departure_order,
             completions,
             completer_departures,
             max_residency,
@@ -261,25 +300,49 @@ impl SwarmTrace {
         self.sessions.contains(t)
     }
 
-    /// A cursor at `t`, found by binary search — O(log n).
+    /// Departures `<= t` (a prefix of `departure_order`).
+    fn departed_by(&self, t: SimTime) -> usize {
+        self.departure_order
+            .partition_point(|&i| self.peers[i as usize].departure <= t)
+    }
+
+    /// A cursor at `t`, found by binary search and a scan of the
+    /// sampling window — O(log n + window).
     pub fn cursor_at(&self, t: SimTime) -> SwarmCursor {
+        self.locate(t, Vec::new())
+    }
+
+    /// [`Self::cursor_at`], filling `live` (cleared first) with the
+    /// active peers so a rebuilt cursor keeps its buffer.
+    fn locate(&self, t: SimTime, mut live: Vec<u32>) -> SwarmCursor {
         let window_start = t - SimDuration(self.max_residency);
+        let arrived = self.peers.partition_point(|p| p.arrival <= t);
+        let window_lo = self.peers.partition_point(|p| p.arrival < window_start);
+        live.clear();
+        live.extend(
+            (window_lo..arrived)
+                .filter(|&i| self.peers[i].active(t))
+                .map(|i| i as u32),
+        );
         SwarmCursor {
             t,
-            arrived: self.peers.partition_point(|p| p.arrival <= t),
-            departed: self.departures.partition_point(|&d| d <= t.0),
+            arrived,
+            departed: self.departed_by(t),
             completed: self.completions.partition_point(|&c| c <= t.0),
             gone: self.completer_departures.partition_point(|&d| d <= t.0),
-            window_lo: self.peers.partition_point(|p| p.arrival < window_start),
+            window_lo,
+            live,
         }
     }
 
     /// Moves `cursor` to `t`: forward by stepping each index past what
-    /// happened in between, backward by finding it afresh. Either way
-    /// the result equals [`Self::cursor_at`]`(t)`.
+    /// happened in between and updating the live list with the peers
+    /// that arrived or departed there, backward by finding it afresh in
+    /// the cursor's own buffer. Either way the result equals
+    /// [`Self::cursor_at`]`(t)`.
     pub fn seek(&self, cursor: &mut SwarmCursor, t: SimTime) {
         if t < cursor.t {
-            *cursor = self.cursor_at(t);
+            *cursor = self.locate(t, std::mem::take(&mut cursor.live));
             return;
         }
         if t == cursor.t {
@@ -287,19 +350,38 @@ impl SwarmTrace {
         }
         let c = cursor;
         let window_start = t - SimDuration(self.max_residency);
+        let (arrived, departed) = (c.arrived, c.departed);
         c.t = t;
-        c.arrived = step_forward(&self.peers, c.arrived, |p| p.arrival <= t);
-        c.departed = step_forward(&self.departures, c.departed, |&d| d <= t.0);
+        c.arrived = step_forward(&self.peers, arrived, |p| p.arrival <= t);
+        c.departed = step_forward(&self.departure_order, departed, |&i| {
+            self.peers[i as usize].departure <= t
+        });
         c.completed = step_forward(&self.completions, c.completed, |&x| x <= t.0);
         c.gone = step_forward(&self.completer_departures, c.gone, |&d| d <= t.0);
         c.window_lo = step_forward(&self.peers, c.window_lo, |p| p.arrival < window_start);
+        // Departed peers that were listed (they had arrived by the old
+        // instant) are tagged where they stand; the list stays sorted
+        // by index with the tags masked off.
+        for &i in &self.departure_order[departed..c.departed] {
+            if (i as usize) < arrived {
+                let at = c.live.partition_point(|&x| (x & !GONE) < i);
+                c.live[at] |= GONE;
+            }
+        }
+        // Arrivals still here join after every earlier index.
+        c.live.extend(
+            (arrived..c.arrived)
+                .filter(|&i| self.peers[i].departure > t)
+                .map(|i| i as u32),
+        );
+        if c.live.len() > 2 * c.active() {
+            c.live.retain(|&x| (x & GONE) == 0);
+        }
     }
 
     /// Number of non-publisher peers in the swarm at `t` — O(log n).
     pub fn active_count(&self, t: SimTime) -> usize {
-        let arrived = self.peers.partition_point(|p| p.arrival <= t);
-        let departed = self.departures.partition_point(|&d| d <= t.0);
-        arrived - departed
+        self.peers.partition_point(|p| p.arrival <= t) - self.departed_by(t)
     }
 
     /// Number of non-publisher seeders at `t` — O(log n).
@@ -316,7 +398,10 @@ impl SwarmTrace {
 
     /// Instant after which nothing ever happens again in this swarm.
     pub fn end_of_activity(&self) -> SimTime {
-        let last_peer = self.departures.last().copied().unwrap_or(0);
+        let last_peer = self
+            .departure_order
+            .last()
+            .map_or(0, |&i| self.peers[i as usize].departure.0);
         let last_session = self.sessions.end().map_or(0, |t| t.0);
         SimTime(last_peer.max(last_session))
     }
@@ -372,10 +457,11 @@ impl SwarmTrace {
         let t = cursor.t;
         let window = &self.peers[cursor.window()];
         if active <= want || window.len() <= want * 4 {
-            // Small case: collect all active, then subsample if needed.
+            // Small case: take all active from the live list, in window
+            // order, then subsample if needed.
             scratch
                 .idxs
-                .extend(window.iter().enumerate().filter(|(_, p)| p.active(t)).map(|(i, _)| i));
+                .extend(cursor.live().map(|i| i - cursor.window_lo));
             if scratch.idxs.len() > want {
                 // Partial Fisher-Yates for a uniform subset.
                 for i in 0..want {

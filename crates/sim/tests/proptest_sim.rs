@@ -1,5 +1,9 @@
 //! Property tests for the simulator's core data structures.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use btpub_sim::engine::EventQueue;
 use btpub_sim::intervals::IntervalSet;
 use btpub_sim::publisher::PublisherId;
 use btpub_sim::swarm::{PeerRecord, SampleScratch, SwarmTrace};
@@ -8,10 +12,19 @@ use proptest::prelude::*;
 use rand::Rng;
 
 fn arb_peer() -> impl Strategy<Value = PeerRecord> {
+    arb_peer_in(0..500_000, 1..100_000)
+}
+
+/// A peer arriving in `arrival` that downloads (or aborts) for a time
+/// in `download`, then maybe lingers.
+fn arb_peer_in(
+    arrival: std::ops::Range<u64>,
+    download: std::ops::Range<u64>,
+) -> impl Strategy<Value = PeerRecord> {
     (
         any::<u32>(),
-        0u64..500_000,
-        1u64..100_000,
+        arrival,
+        download,
         0u64..100_000,
         any::<bool>(),
         proptest::option::of(Just(())),
@@ -62,6 +75,82 @@ fn arb_step() -> impl Strategy<Value = Step> {
     ]
 }
 
+/// One operation on an event queue.
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    /// Schedule an event this many seconds after the current instant.
+    Schedule(u64),
+    /// Pop the earliest event.
+    Pop,
+}
+
+fn arb_queue_op() -> impl Strategy<Value = QueueOp> {
+    prop_oneof![
+        // Six constant delays, more than the queue has lanes; a zero
+        // delay ties with the instant just popped.
+        (0u64..6).prop_map(|i| QueueOp::Schedule(i * 150)),
+        (0u64..6).prop_map(|i| QueueOp::Schedule(i * 150)),
+        // Delays that rarely repeat.
+        (0u64..5_000).prop_map(QueueOp::Schedule),
+        Just(QueueOp::Pop),
+        Just(QueueOp::Pop),
+    ]
+}
+
+/// Runs `ops` on an [`EventQueue`] and on a plain binary heap of
+/// `(at, insertion index)`, checking that every pop, and the final
+/// drain, gives the same event at the same instant, and that `len` and
+/// `is_empty` agree with the reference after every step.
+fn check_queue_against_heap(ops: &[QueueOp]) {
+    let mut queue = EventQueue::new();
+    let mut reference: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+    let mut next = 0usize;
+    for op in ops {
+        match *op {
+            QueueOp::Schedule(delay) => {
+                let at = queue.now() + SimDuration(delay);
+                queue.schedule(at, next);
+                reference.push(Reverse((at.0, next)));
+                next += 1;
+            }
+            QueueOp::Pop => {
+                let want = reference.pop().map(|Reverse((at, id))| (SimTime(at), id));
+                assert_eq!(queue.pop(), want, "after {next} schedules");
+            }
+        }
+        assert_eq!(queue.len(), reference.len());
+        assert_eq!(queue.is_empty(), reference.is_empty());
+    }
+    while let Some(Reverse((at, id))) = reference.pop() {
+        assert_eq!(queue.pop(), Some((SimTime(at), id)), "draining");
+        assert_eq!(queue.len(), reference.len());
+    }
+    assert_eq!(queue.pop(), None);
+    assert!(queue.is_empty());
+}
+
+/// The crawler's shape: many events at a few fixed delays, with ties,
+/// a same-instant reschedule and a burst of distinct delays that finds
+/// every lane taken.
+#[test]
+fn event_queue_pops_as_a_heap_on_the_crawl_shape() {
+    let mut ops = Vec::new();
+    for round in 0..200u64 {
+        ops.push(QueueOp::Schedule(225));
+        ops.push(QueueOp::Schedule(30));
+        if round % 3 == 0 {
+            ops.push(QueueOp::Schedule(600));
+            ops.push(QueueOp::Schedule(0));
+        }
+        if round % 20 == 0 {
+            ops.extend((1..=8).map(|d| QueueOp::Schedule(1_000 + d * 7)));
+        }
+        ops.push(QueueOp::Pop);
+        ops.push(QueueOp::Pop);
+    }
+    check_queue_against_heap(&ops);
+}
+
 /// Which sampling branch each query took: `(fisher_yates, rejection)`.
 type BranchHits = (usize, usize);
 
@@ -108,6 +197,20 @@ fn check_cursor_walk(
         let active = peers.iter().filter(|p| p.active(t)).count();
         let seeding = peers.iter().filter(|p| p.seeding(t)).count();
         assert_eq!(cursor.active(), active);
+        // The live list: the active peers' indices, ascending, as a
+        // scan of the trace's (arrival-sorted) peers finds them.
+        let live: Vec<usize> = trace
+            .peers()
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| p.active(t))
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(
+            cursor.live().collect::<Vec<_>>(),
+            live,
+            "live list at {t:?} after {step:?}"
+        );
         assert_eq!(cursor.seeders(), seeding);
         assert_eq!(cursor.leechers(), active - seeding);
         // The sampling window: every peer that arrived within the
@@ -175,8 +278,18 @@ fn cursor_walk_covers_both_sampling_branches() {
 }
 
 proptest! {
+    /// The lanes never change the pop order: any schedule pops as a
+    /// binary heap ordered by `(at, insertion)` pops it.
+    #[test]
+    fn event_queue_pops_as_a_heap(
+        ops in proptest::collection::vec(arb_queue_op(), 1..400),
+    ) {
+        check_queue_against_heap(&ops);
+    }
+
     /// A cursor carried through forward steps, repeats and backward jumps
-    /// gives the counts, samples and RNG state of fresh lookups.
+    /// gives the counts, live list, samples and RNG state of fresh
+    /// lookups.
     #[test]
     fn cursor_walk_matches_fresh_lookups(
         peers in proptest::collection::vec(arb_peer(), 0..300),
@@ -186,6 +299,24 @@ proptest! {
         seed in any::<u64>(),
     ) {
         check_cursor_walk(&peers, start, &steps, want, seed);
+    }
+
+    /// The same walk over a dense swarm, whose first instant has every
+    /// peer active: the wants it tries there take both the Fisher-Yates
+    /// and the rejection branch, and the live list must hold through
+    /// both.
+    #[test]
+    fn dense_cursor_walk_takes_both_branches(
+        peers in proptest::collection::vec(arb_peer_in(0..10_000, 20_000..40_000), 50..300),
+        start in 10_000u64..20_000,
+        steps in proptest::collection::vec(arb_step(), 0..30),
+        want in 1usize..64,
+        seed in any::<u64>(),
+    ) {
+        let steps: Vec<Step> = std::iter::once(Step::Repeat).chain(steps).collect();
+        let (fisher_yates, rejection) = check_cursor_walk(&peers, start, &steps, want, seed);
+        prop_assert!(fisher_yates > 0, "no query took the Fisher-Yates branch");
+        prop_assert!(rejection > 0, "no query took the rejection branch");
     }
 
     /// The O(log n) indexed counts must agree with a brute-force scan at

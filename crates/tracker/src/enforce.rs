@@ -26,6 +26,8 @@
 //! nor earn a second strike, or a lossy network would push honest
 //! clients onto the blacklist and out of oracle parity.
 
+use std::collections::hash_map::Entry;
+
 use btpub_fxhash::{FxHashMap, FxHashSet};
 use btpub_sim::{SimDuration, SimTime, TorrentId};
 
@@ -141,43 +143,45 @@ impl Enforcer {
         exempt: bool,
     ) -> Admission {
         let interval = min_interval(t);
-        if let Some(&last) = self.last_query.get(&(client, torrent)) {
-            if self.dedup_exact && t == last {
-                return Admission::Duplicate;
+        // One probe of the clock map: the entry is read, and reset on
+        // admission, through the same slot.
+        let mut slot = match self.last_query.entry((client, torrent)) {
+            Entry::Vacant(v) => {
+                v.insert(t);
+                return Admission::Admit;
             }
-            let earliest = last + interval;
-            if !exempt && t < earliest {
-                // Only egregious violations (re-query within half the
-                // interval) count toward blacklisting; mild drift caused
-                // by the load-dependent interval is tolerated, as real
-                // trackers do.
-                if t < last + SimDuration(interval.secs() / 2) {
-                    let striked_already = self.dedup_exact
-                        && self.last_strike.get(&(client, torrent)) == Some(&t);
-                    if !striked_already {
-                        let strikes = self.strikes.entry(client).or_insert(0);
-                        *strikes += 1;
-                        btpub_obs::trace_instant!(
-                            "tracker.blacklist.strike",
-                            u64::from(client)
-                        );
-                        if self.dedup_exact {
-                            self.last_strike.insert((client, torrent), t);
-                        }
-                        if *strikes > self.max_strikes {
-                            self.blacklisted.insert(client);
-                            btpub_obs::trace_instant!(
-                                "tracker.blacklist.added",
-                                u64::from(client)
-                            );
-                            return Admission::Blacklisted;
-                        }
+            Entry::Occupied(o) => o,
+        };
+        let last = *slot.get();
+        if self.dedup_exact && t == last {
+            return Admission::Duplicate;
+        }
+        let earliest = last + interval;
+        if !exempt && t < earliest {
+            // Only egregious violations (re-query within half the
+            // interval) count toward blacklisting; mild drift caused
+            // by the load-dependent interval is tolerated, as real
+            // trackers do.
+            if t < last + SimDuration(interval.secs() / 2) {
+                let striked_already =
+                    self.dedup_exact && self.last_strike.get(&(client, torrent)) == Some(&t);
+                if !striked_already {
+                    let strikes = self.strikes.entry(client).or_insert(0);
+                    *strikes += 1;
+                    btpub_obs::trace_instant!("tracker.blacklist.strike", u64::from(client));
+                    if self.dedup_exact {
+                        self.last_strike.insert((client, torrent), t);
+                    }
+                    if *strikes > self.max_strikes {
+                        self.blacklisted.insert(client);
+                        btpub_obs::trace_instant!("tracker.blacklist.added", u64::from(client));
+                        return Admission::Blacklisted;
                     }
                 }
-                return Admission::RateLimited { retry_at: earliest };
             }
+            return Admission::RateLimited { retry_at: earliest };
         }
-        self.last_query.insert((client, torrent), t);
+        *slot.get_mut() = t;
         Admission::Admit
     }
 

@@ -185,8 +185,9 @@ impl<'a> TrackerSim<'a> {
         let announce_start = self.meters.latency.wants().then(clock::now);
         self.meters.total += 1;
         // Coordinates of this query in the fault plan's draw space: one
-        // independent draw per (client, torrent, time) triple.
-        let draw = key(&[u64::from(client), u64::from(torrent.0), t.secs()]);
+        // independent draw per (client, torrent, time) triple, computed
+        // only under a plan.
+        let draw = || key(&[u64::from(client), u64::from(torrent.0), t.secs()]);
         if let Some(plan) = &self.faults {
             // Downtime is checked first: a dead tracker answers nobody,
             // and the query leaves no trace in tracker state.
@@ -199,7 +200,7 @@ impl<'a> TrackerSim<'a> {
             }
             // A dropped announce is lost on the way in: no state mutation,
             // no rate-limit bookkeeping (the tracker never saw it).
-            if plan.check::<points::AnnounceDrop>(draw).is_some() {
+            if plan.check::<points::AnnounceDrop>(draw()).is_some() {
                 btpub_obs::static_counter!("tracker.announce.dropped").inc();
                 return Err(QueryError::Dropped);
             }
@@ -281,6 +282,7 @@ impl<'a> TrackerSim<'a> {
         // processed the announce (state mutated, rate-limit clock reset),
         // but the client cannot parse what it received.
         if let Some(plan) = &self.faults {
+            let draw = draw();
             let corrupted = plan
                 .check::<points::TruncatedReply>(draw)
                 .or_else(|| plan.check::<points::MalformedReply>(draw));
