@@ -322,7 +322,8 @@ fn main() {
             every: checkpoint_every,
         }),
     });
-    let chunks = btpub_par::par_map("repro.scenarios", &scenarios, |(name, scenario)| {
+    let chunks = btpub_par::par_map_indexed("repro.scenarios", scenarios.len(), |i| {
+        let (name, scenario) = &scenarios[i];
         run_scenario(name, scenario, exp_ref, stream_opts.as_ref())
     });
     for (chunk, _) in &chunks {
@@ -552,7 +553,7 @@ fn write_manifest(
         // cap): pool task counters legitimately differ across job
         // counts, so obs_diff refuses to compare manifests that
         // disagree here rather than reporting bogus regressions.
-        ("jobs_effective", Value::from(btpub_par::global().effective().get() as u64)),
+        ("jobs_effective", Value::from(btpub_par::global().get() as u64)),
     ];
     let manifest = btpub_obs::manifest::build(btpub_obs::global(), &meta);
     if let Err(e) = btpub_obs::manifest::write(std::path::Path::new(path), &manifest) {

@@ -476,7 +476,7 @@ fn write_manifest(path: &str, scale: &str, sim_days: f64, profile: &FaultProfile
         ("bin", Value::from("btpub-monitor")),
         ("scale", Value::from(scale)),
         ("fault_profile", Value::from(profile.name.as_str())),
-        ("jobs_effective", Value::from(btpub_par::global().effective().get() as u64)),
+        ("jobs_effective", Value::from(btpub_par::global().get() as u64)),
         ("sim_days", Value::from(sim_days)),
     ];
     let manifest = btpub_obs::manifest::build(btpub_obs::global(), &meta);

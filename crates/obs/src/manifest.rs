@@ -9,8 +9,8 @@
 //!
 //! Only the **deterministic** metric set: counters and gauges, minus
 //! the timing- and scheduling-dependent ones (`span.*` self-time
-//! counters, `par.*.steals` steal counts, `par.*.queue_depth`, and
-//! the `serve.*` live-socket tallies, which retransmits inflate).
+//! counters, `trace.*` flight-recorder accounting, `par.*.queue_depth`,
+//! and the `serve.*` live-socket tallies, which retransmits inflate).
 //! Histograms are excluded wholesale — every histogram in this
 //! workspace measures wall-clock latency, which legitimately varies
 //! between byte-identical runs. The digest is an FNV-1a 64 over the
@@ -37,10 +37,10 @@ pub fn digest64(bytes: &[u8]) -> u64 {
 
 /// Whether a counter participates in digests and diffs.
 fn deterministic_counter(name: &str) -> bool {
-    // span.*.self_ns is accumulated wall time; par.*.steals depends on
-    // scheduling luck; trace.* is flight-recorder drop/trip accounting
-    // that only exists when (and how hard) the recorder is armed — a
-    // traced run must digest identically to its traceless twin.
+    // span.*.self_ns is accumulated wall time; trace.* is flight-recorder
+    // drop/trip accounting that only exists when (and how hard) the
+    // recorder is armed — a traced run must digest identically to its
+    // traceless twin.
     // serve.* counters tally live socket traffic: retransmits and
     // reconnects legitimately inflate them between byte-identical swarm
     // snapshots, so the serve plane proves itself via snapshot parity,
@@ -52,7 +52,6 @@ fn deterministic_counter(name: &str) -> bool {
         && !name.starts_with("trace.")
         && !name.starts_with("serve.")
         && !name.starts_with("retry.breaker.serve.")
-        && !name.ends_with(".steals")
 }
 
 /// Whether a gauge participates in digests and diffs.
@@ -315,15 +314,16 @@ mod tests {
             &[
                 ("crawler.polls", 7),
                 ("span.sim.tick.self_ns", 123_456_789),
-                ("par.sim.swarms.steals", 42),
+                ("trace.dropped.btpub-par/sim.swarms/1", 42),
                 ("serve.announce.total", 10_128),
                 ("serve.announce.duplicate", 128),
             ],
             &[("par.sim.swarms.queue_depth", 3)],
         );
-        // The noisy registry records wall time, scheduling luck, and
-        // live-socket traffic (retransmit-inflated); the histogram
-        // section is excluded wholesale.
+        // The noisy registry records wall time, flight-recorder drops,
+        // scheduling luck (queue depth) and live-socket traffic
+        // (retransmit-inflated); the histogram section is excluded
+        // wholesale.
         noisy.histogram("span.sim.tick.ns").record(999);
         let a = build(&quiet, &[]);
         let b = build(&noisy, &[]);

@@ -15,11 +15,6 @@ impl Jobs {
         Jobs(n.max(1))
     }
 
-    /// Serial execution.
-    pub fn serial() -> Jobs {
-        Jobs(1)
-    }
-
     /// The machine's available parallelism (1 when undetectable).
     pub fn detected() -> Jobs {
         Jobs(std::thread::available_parallelism().map_or(1, |n| n.get()))
@@ -39,11 +34,6 @@ impl Jobs {
     /// The worker count.
     pub fn get(self) -> usize {
         self.0
-    }
-
-    /// Whether this policy runs on the calling thread only.
-    pub fn is_serial(self) -> bool {
-        self.0 == 1
     }
 
     /// Caps the request at the machine's available parallelism.
@@ -95,8 +85,6 @@ mod tests {
     fn new_clamps_to_one() {
         assert_eq!(Jobs::new(0).get(), 1);
         assert_eq!(Jobs::new(7).get(), 7);
-        assert!(Jobs::serial().is_serial());
-        assert!(!Jobs::new(2).is_serial());
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //! Deterministic data parallelism for the measurement pipeline.
 //!
 //! The build environment is offline (no rayon), so this crate provides a
-//! `std`-only fork-join executor: [`par_map`] / [`par_map_indexed`] fan a
-//! slice (or an index range) out over scoped worker threads with
-//! work-stealing deques and return the results **in input order**, no
-//! matter which worker computed what.
+//! `std`-only fork-join executor: [`par_map_indexed`] maps `0..n` over
+//! scoped worker threads that claim contiguous chunks from one atomic
+//! cursor, and returns the results **in input order**, no matter which
+//! worker computed what. At one worker it is a plain loop on the
+//! calling thread.
 //!
 //! ## Determinism contract
 //!
@@ -32,14 +33,15 @@
 //!
 //! Each named pool reports through `btpub-obs`:
 //!
-//! * `par.<name>.tasks` — counter of tasks executed;
-//! * `par.<name>.steals` — counter of successful steal operations;
+//! * `par.<name>.tasks` — counter of tasks executed (one per chunk, or
+//!   one per region at one worker);
 //! * `par.<name>.task_ns` — histogram of per-task wall latency;
 //! * `par.<name>.workers` — gauge: workers used by the last region;
 //! * `par.<name>.queue_depth` — gauge: tasks not yet claimed.
 //!
 //! ```
-//! let doubled = btpub_par::par_map("doc.demo", &[1, 2, 3], |x| x * 2);
+//! let items = [1, 2, 3];
+//! let doubled = btpub_par::par_map_indexed("doc.demo", items.len(), |i| items[i] * 2);
 //! assert_eq!(doubled, vec![2, 4, 6]);
 //! let squares = btpub_par::par_map_indexed("doc.demo", 4, |i| i * i);
 //! assert_eq!(squares, vec![0, 1, 4, 9]);
@@ -51,66 +53,12 @@ pub mod pool;
 pub use jobs::{global, set_global, Jobs};
 pub use pool::Pool;
 
-/// Maps `f` over `items` on the global [`Jobs`] worker count, returning
-/// results in input order. `name` labels the pool's metrics.
-pub fn par_map<T, R, F>(name: &str, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Pool::global(name).par_map(items, f)
-}
-
 /// Maps `f` over `0..n` on the global [`Jobs`] worker count, returning
-/// `vec![f(0), f(1), …, f(n-1)]`.
+/// `vec![f(0), f(1), …, f(n-1)]`. `name` labels the pool's metrics.
 pub fn par_map_indexed<R, F>(name: &str, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
     Pool::global(name).par_map_indexed(n, f)
-}
-
-/// Maps `f` over `items` by value on the global [`Jobs`] worker count,
-/// returning results in input order.
-pub fn par_map_owned<T, R, F>(name: &str, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    Pool::global(name).par_map_owned(items, f)
-}
-
-/// Coarsened [`par_map`]: contiguous chunks of `items` run as one task
-/// each, so per-task overhead scales with workers, not items. Results
-/// are per item, in input order. Prefer this for large fan-outs of
-/// cheap items; at `--jobs 1` it is a plain loop with no pool at all.
-pub fn par_chunk_map<T, R, F>(name: &str, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    Pool::global(name).par_chunk_map(items, f)
-}
-
-/// Coarsened [`par_map_indexed`]; see [`par_chunk_map`].
-pub fn par_chunk_map_indexed<R, F>(name: &str, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    Pool::global(name).par_chunk_map_indexed(n, f)
-}
-
-/// Coarsened [`par_map_owned`]; see [`par_chunk_map`].
-pub fn par_chunk_map_owned<T, R, F>(name: &str, items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    Pool::global(name).par_chunk_map_owned(items, f)
 }

@@ -279,11 +279,11 @@ impl Ecosystem {
 
         // --- 5. build swarm traces ---
         // Embarrassingly parallel: each trace's RNG is derived from
-        // `(seed, "swarm", idx)` alone and the chunked map returns in
+        // `(seed, "swarm", idx)` alone and the map returns in
         // index order, so the result is byte-identical at any job count.
         let _swarm_span = btpub_obs::span!("sim.swarms");
         let swarm_pop = btpub_obs::static_histogram!("sim.swarm.population");
-        let swarms = btpub_par::par_chunk_map_indexed("sim.swarms", publications.len(), |idx| {
+        let swarms = btpub_par::par_map_indexed("sim.swarms", publications.len(), |idx| {
             let publication = &publications[idx];
             let mut rng = rngs::derive(config.seed, "swarm", idx as u64);
             let publisher = &publishers[publication.publisher.0 as usize];
@@ -346,9 +346,9 @@ impl Ecosystem {
             by_publisher[swarm.publisher.0 as usize].push(idx);
         }
         let session_unions =
-            btpub_par::par_chunk_map("sim.session_unions", &by_publisher, |swarm_ids| {
+            btpub_par::par_map_indexed("sim.session_unions", by_publisher.len(), |p| {
                 let mut union = IntervalSet::new();
-                for &idx in swarm_ids {
+                for &idx in &by_publisher[p] {
                     union.union_with(&swarms[idx].sessions);
                 }
                 union.clamp(SimTime::ZERO, horizon)

@@ -49,6 +49,17 @@ pub fn scrape_path(announce_path: &str) -> Option<String> {
     Some(format!("{dir}scrape{rest}"))
 }
 
+/// [`scrape_path`], with an unscrapable URL shape as an
+/// [`Unsupported`](io::ErrorKind::Unsupported) error.
+fn scrape_target(announce_path: &str) -> io::Result<String> {
+    scrape_path(announce_path).ok_or_else(|| {
+        io::Error::new(
+            io::ErrorKind::Unsupported,
+            "tracker URL does not support scrape",
+        )
+    })
+}
+
 /// A keep-alive HTTP tracker session: one TCP connection carrying any
 /// number of announce/scrape exchanges (HTTP/1.1 with exact
 /// `Content-Length` framing on both sides). The serving daemon's load
@@ -105,12 +116,7 @@ impl HttpSession {
 
     /// Scrapes counters for the given torrents over the session.
     pub fn scrape(&mut self, torrents: &[InfoHash]) -> io::Result<ScrapeResponse> {
-        let path = scrape_path(&self.announce_path).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::Unsupported,
-                "tracker URL does not support scrape",
-            )
-        })?;
+        let path = scrape_target(&self.announce_path)?;
         let query: String = torrents
             .iter()
             .map(|ih| format!("info_hash={}", urlencode::encode(&ih.0)))
@@ -128,24 +134,14 @@ pub fn announce(announce_url: &str, req: &AnnounceRequest) -> io::Result<Announc
     announce_with(announce_url, req, &NetConfig::default())
 }
 
-/// Sends an announce to `announce_url` with explicit socket timeouts.
+/// Sends an announce to `announce_url` with explicit socket timeouts,
+/// over a one-exchange [`HttpSession`].
 pub fn announce_with(
     announce_url: &str,
     req: &AnnounceRequest,
     net: &NetConfig,
 ) -> io::Result<AnnounceResponse> {
-    let (addr, path) = parse_tracker_url(announce_url)?;
-    let stream = TcpStream::connect_timeout(&addr, net.connect_timeout)?;
-    stream.set_read_timeout(Some(net.read_timeout))?;
-    stream.set_write_timeout(Some(net.write_timeout))?;
-    let request_line = format!(
-        "GET {path}?{} HTTP/1.0\r\nHost: tracker\r\n\r\n",
-        req.to_query()
-    );
-    io::Write::write_all(&mut (&stream), request_line.as_bytes())?;
-    let body = http::read_response(&stream)?;
-    AnnounceResponse::decode(&body)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    HttpSession::connect(announce_url, net)?.announce(req, "")
 }
 
 /// Scrapes counters for the given torrents, using the default
@@ -155,32 +151,16 @@ pub fn scrape(announce_url: &str, torrents: &[InfoHash]) -> io::Result<ScrapeRes
     scrape_with(announce_url, torrents, &NetConfig::default())
 }
 
-/// Scrapes counters for the given torrents with explicit socket timeouts.
+/// Scrapes counters for the given torrents with explicit socket timeouts,
+/// over a one-exchange [`HttpSession`]. An unscrapable URL is refused
+/// before anything is dialed.
 pub fn scrape_with(
     announce_url: &str,
     torrents: &[InfoHash],
     net: &NetConfig,
 ) -> io::Result<ScrapeResponse> {
-    let (addr, path) = parse_tracker_url(announce_url)?;
-    let scrape_path = scrape_path(&path).ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::Unsupported,
-            "tracker URL does not support scrape",
-        )
-    })?;
-    let query: String = torrents
-        .iter()
-        .map(|ih| format!("info_hash={}", urlencode::encode(&ih.0)))
-        .collect::<Vec<_>>()
-        .join("&");
-    let stream = TcpStream::connect_timeout(&addr, net.connect_timeout)?;
-    stream.set_read_timeout(Some(net.read_timeout))?;
-    stream.set_write_timeout(Some(net.write_timeout))?;
-    let request_line = format!("GET {scrape_path}?{query} HTTP/1.0\r\nHost: tracker\r\n\r\n");
-    io::Write::write_all(&mut (&stream), request_line.as_bytes())?;
-    let body = http::read_response(&stream)?;
-    ScrapeResponse::decode(&body)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+    scrape_target(&parse_tracker_url(announce_url)?.1)?;
+    HttpSession::connect(announce_url, net)?.scrape(torrents)
 }
 
 #[cfg(test)]

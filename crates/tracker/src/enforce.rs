@@ -14,8 +14,8 @@
 //! * a re-query before the interval elapses is refused
 //!   ([`Admission::RateLimited`]);
 //! * a re-query within *half* the interval is an egregious violation and
-//!   earns a strike; more than [`Enforcer::max_strikes`] strikes
-//!   blacklists the client for good;
+//!   earns a strike; more than [`MAX_STRIKES`] strikes blacklists the
+//!   client for good;
 //! * blacklisted clients are refused outright, before anything else.
 //!
 //! The serving plane layers one extra rule on top, off by default so the
@@ -42,6 +42,10 @@ pub fn min_interval(t: SimTime) -> SimDuration {
     let jitter = (hour.wrapping_mul(0x9E37_79B9) >> 7) % 301;
     SimDuration(600 + jitter)
 }
+
+/// Violations tolerated before a client is blacklisted, by both the
+/// simulated tracker and the serving plane.
+pub const MAX_STRIKES: u32 = 20;
 
 /// What the enforcement layer decided about one announce.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,8 +75,6 @@ pub struct Enforcer {
     last_query: FxHashMap<(ClientId, TorrentId), SimTime>,
     strikes: FxHashMap<ClientId, u32>,
     blacklisted: FxHashSet<ClientId>,
-    /// Violations tolerated before blacklisting.
-    max_strikes: u32,
     /// Retransmit tolerance (serving mode): exact `(client, torrent, t)`
     /// repeats are deduplicated instead of striked twice.
     dedup_exact: bool,
@@ -82,33 +84,26 @@ pub struct Enforcer {
 }
 
 impl Enforcer {
-    /// The in-simulation tracker's enforcement: 20 strikes, no
+    /// The in-simulation tracker's enforcement: [`MAX_STRIKES`], no
     /// retransmit dedup (the in-process call path cannot retransmit).
     pub fn tracker() -> Enforcer {
-        Enforcer::new(20, false)
+        Enforcer::with_dedup(false)
     }
 
-    /// The serving plane's enforcement: same 20-strike policy, plus
-    /// exact-duplicate detection for retransmitted datagrams.
+    /// The serving plane's enforcement: the same [`MAX_STRIKES`] policy,
+    /// plus exact-duplicate detection for retransmitted datagrams.
     pub fn serving() -> Enforcer {
-        Enforcer::new(20, true)
+        Enforcer::with_dedup(true)
     }
 
-    /// An enforcer with explicit parameters.
-    pub fn new(max_strikes: u32, dedup_exact: bool) -> Enforcer {
+    fn with_dedup(dedup_exact: bool) -> Enforcer {
         Enforcer {
             last_query: FxHashMap::default(),
             strikes: FxHashMap::default(),
             blacklisted: FxHashSet::default(),
-            max_strikes,
             dedup_exact,
             last_strike: FxHashMap::default(),
         }
-    }
-
-    /// Violations tolerated before blacklisting.
-    pub fn max_strikes(&self) -> u32 {
-        self.max_strikes
     }
 
     /// Whether a client has been blacklisted.
@@ -172,7 +167,7 @@ impl Enforcer {
                     if self.dedup_exact {
                         self.last_strike.insert((client, torrent), t);
                     }
-                    if *strikes > self.max_strikes {
+                    if *strikes > MAX_STRIKES {
                         self.blacklisted.insert(client);
                         btpub_obs::trace_instant!("tracker.blacklist.added", u64::from(client));
                         return Admission::Blacklisted;
@@ -248,7 +243,7 @@ mod tests {
         }
         assert!(blacklisted);
         assert!(e.is_blacklisted(9));
-        assert!(e.strikes_of(9) > e.max_strikes());
+        assert!(e.strikes_of(9) > MAX_STRIKES);
         // Polite clients unaffected.
         assert_eq!(e.admit(10, TorrentId(0), SimTime(100), false), Admission::Admit);
     }
@@ -319,14 +314,17 @@ mod tests {
 
     #[test]
     fn snapshot_is_sorted_and_complete() {
-        let mut e = Enforcer::new(1, false);
+        let mut e = Enforcer::tracker();
         e.admit(7, TorrentId(0), SimTime(0), false);
-        e.admit(7, TorrentId(0), SimTime(1), false); // strike 1
-        e.admit(7, TorrentId(0), SimTime(2), false); // strike 2 → blacklist
+        for t in 1..=u64::from(MAX_STRIKES) {
+            e.admit(7, TorrentId(0), SimTime(t), false); // strikes 1..=20
+        }
+        let last = SimTime(u64::from(MAX_STRIKES) + 1);
+        assert_eq!(e.admit(7, TorrentId(0), last, false), Admission::Blacklisted); // strike 21
         e.admit(2, TorrentId(0), SimTime(0), false);
         e.admit(2, TorrentId(0), SimTime(1), false); // strike 1
         let mut snap = Vec::new();
         e.snapshot_into(&mut snap);
-        assert_eq!(snap, vec![(2, 1, false), (7, 2, true)]);
+        assert_eq!(snap, vec![(2, 1, false), (7, 21, true)]);
     }
 }

@@ -6,7 +6,7 @@
 //! exact `Content-Length`, letting any number of exchanges share one
 //! connection.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Most bytes a request's header section, and separately its body, may
 /// take. Tracker requests are GETs whose body is empty, so a declared
@@ -176,14 +176,10 @@ pub fn read_response_from<R: BufRead>(reader: &mut R) -> std::io::Result<Vec<u8>
     Ok(body)
 }
 
-/// Reads a response, returning the body on 200 or an error otherwise.
-pub fn read_response<R: Read>(stream: R) -> std::io::Result<Vec<u8>> {
-    read_response_from(&mut BufReader::new(stream))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::BufReader;
 
     /// Parses one whole request off the front of `raw`.
     fn parse(raw: &[u8]) -> (Request, usize) {
@@ -310,7 +306,7 @@ mod tests {
     fn response_roundtrip() {
         let mut wire = Vec::new();
         write_ok(&mut wire, b"d8:intervali900ee").unwrap();
-        let body = read_response(&wire[..]).unwrap();
+        let body = read_response_from(&mut &wire[..]).unwrap();
         assert_eq!(body, b"d8:intervali900ee");
     }
 
@@ -328,7 +324,7 @@ mod tests {
     fn error_response_surfaces_code() {
         let mut wire = Vec::new();
         write_error(&mut wire, 404, "Not Found").unwrap();
-        let err = read_response(&wire[..]).unwrap_err();
+        let err = read_response_from(&mut &wire[..]).unwrap_err();
         assert!(err.to_string().contains("404"), "{err}");
     }
 
@@ -337,12 +333,12 @@ mod tests {
         // One hostile Content-Length must not become one huge allocation.
         for len in [MAX_RESPONSE_BODY + 1, usize::MAX] {
             let wire = format!("HTTP/1.1 200 OK\r\nContent-Length: {len}\r\n\r\nshort");
-            let err = read_response(wire.as_bytes()).unwrap_err();
+            let err = read_response_from(&mut wire.as_bytes()).unwrap_err();
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "len={len}");
         }
         // A body cut short of its declared length is an EOF, not a hang.
         let wire = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nshort";
-        let err = read_response(&wire[..]).unwrap_err();
+        let err = read_response_from(&mut &wire[..]).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 
@@ -351,6 +347,6 @@ mod tests {
         let body: Vec<u8> = (0u16..=255).map(|b| b as u8).collect();
         let mut wire = Vec::new();
         write_ok(&mut wire, &body).unwrap();
-        assert_eq!(read_response(&wire[..]).unwrap(), body);
+        assert_eq!(read_response_from(&mut &wire[..]).unwrap(), body);
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! Every stochastic component derives its RNG per item
 //! (`rngs::derive(seed, stream, idx)`), so a task's output depends only
-//! on its index, and ordered `par_map` assembly does the rest. This test
-//! is the in-tree enforcement; `scripts/check.sh` additionally diffs the
-//! `repro` binary's stdout at `--jobs 1` vs `--jobs 4`.
+//! on its index, and ordered `par_map_indexed` assembly does the rest.
+//! This test is the in-tree enforcement; `scripts/check.sh` additionally
+//! diffs the `repro` binary's stdout at `--jobs 1` vs `--jobs 4`.
 
 use btpub::{Scale, Scenario, Study};
 use btpub_par::Jobs;
@@ -23,7 +23,8 @@ fn tiny_scenarios() -> Vec<(&'static str, Scenario)> {
 fn full_report_all(jobs: usize) -> String {
     btpub_par::set_global(Jobs::new(jobs));
     let scenarios = tiny_scenarios();
-    btpub_par::par_map("repro.scenarios", &scenarios, |(name, scenario)| {
+    btpub_par::par_map_indexed("repro.scenarios", scenarios.len(), |i| {
+        let (name, scenario) = &scenarios[i];
         let study = Study::run(scenario);
         let analyses = study.analyze();
         format!(
