@@ -138,7 +138,12 @@ pub fn enabled(level: Level) -> bool {
 
 /// Formats and writes one record; called by the macros after
 /// [`enabled`] passed. `fields` are pre-rendered `key=value` pairs.
-pub fn emit(level: Level, target: &str, message: &std::fmt::Arguments<'_>, fields: &[(&str, String)]) {
+pub fn emit(
+    level: Level,
+    target: &str,
+    message: &std::fmt::Arguments<'_>,
+    fields: &[(&str, String)],
+) {
     crate::global().counter(level.metric()).inc();
     // Warn+ records also land in the flight recorder, so a trace shows
     // *when* the run complained relative to everything else.

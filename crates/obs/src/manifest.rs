@@ -124,7 +124,13 @@ pub fn write(path: &Path, manifest: &Value) -> std::io::Result<()> {
 /// disagree on any of these measure *different runs*, and diffing
 /// their metrics would report configuration skew as a bogus
 /// regression.
-const CONFIG_META_KEYS: &[&str] = &["bin", "scale", "scenarios", "fault_profile", "jobs_effective"];
+const CONFIG_META_KEYS: &[&str] = &[
+    "bin",
+    "scale",
+    "scenarios",
+    "fault_profile",
+    "jobs_effective",
+];
 
 /// Configuration mismatches between two manifests — one line per meta
 /// key present in both but different. Empty means the manifests are
@@ -171,7 +177,9 @@ fn diff_section(
             continue;
         }
         match new_m.iter().find(|(k, _)| k == name) {
-            None => out.push(format!("{label} {name}: missing from new snapshot (was {old_v})")),
+            None => out.push(format!(
+                "{label} {name}: missing from new snapshot (was {old_v})"
+            )),
             Some((_, new_v)) => {
                 let allowed = old_v.abs() * tolerance_pct / 100.0;
                 if (new_v - old_v).abs() > allowed {
@@ -200,8 +208,22 @@ fn diff_section(
 /// regression signal.
 pub fn diff(old: &Value, new: &Value, tolerance_pct: f64) -> Vec<String> {
     let mut out = Vec::new();
-    diff_section(old, new, "counters", deterministic_counter, tolerance_pct, &mut out);
-    diff_section(old, new, "gauges", deterministic_gauge, tolerance_pct, &mut out);
+    diff_section(
+        old,
+        new,
+        "counters",
+        deterministic_counter,
+        tolerance_pct,
+        &mut out,
+    );
+    diff_section(
+        old,
+        new,
+        "gauges",
+        deterministic_gauge,
+        tolerance_pct,
+        &mut out,
+    );
     out
 }
 
@@ -269,8 +291,22 @@ pub fn watch_verdict(old: &Value, new: &Value, tolerance_pct: f64) -> WatchVerdi
         behind: 0,
         overshoots: Vec::new(),
     };
-    verdict_section(old, new, "counters", deterministic_counter, tolerance_pct, &mut v);
-    verdict_section(old, new, "gauges", deterministic_gauge, tolerance_pct, &mut v);
+    verdict_section(
+        old,
+        new,
+        "counters",
+        deterministic_counter,
+        tolerance_pct,
+        &mut v,
+    );
+    verdict_section(
+        old,
+        new,
+        "gauges",
+        deterministic_gauge,
+        tolerance_pct,
+        &mut v,
+    );
     v
 }
 
@@ -343,9 +379,15 @@ mod tests {
         );
         let lines = diff(&old, &new, 0.0);
         assert_eq!(lines.len(), 3, "{lines:?}");
-        assert!(lines.iter().any(|l| l.contains("a.total") && l.contains("-10.0%")));
-        assert!(lines.iter().any(|l| l.contains("b.gone") && l.contains("missing")));
-        assert!(lines.iter().any(|l| l.contains("c.new") && l.contains("new in")));
+        assert!(lines
+            .iter()
+            .any(|l| l.contains("a.total") && l.contains("-10.0%")));
+        assert!(lines
+            .iter()
+            .any(|l| l.contains("b.gone") && l.contains("missing")));
+        assert!(lines
+            .iter()
+            .any(|l| l.contains("c.new") && l.contains("new in")));
     }
 
     #[test]
@@ -436,7 +478,10 @@ mod tests {
         // Overshoot: a.total beyond baseline plus a metric the baseline
         // never recorded — both hard failures.
         let hot = build(
-            &registry_with(&[("a.total", 130), ("b.total", 50), ("c.extra", 1)], &[("g", 5)]),
+            &registry_with(
+                &[("a.total", 130), ("b.total", 50), ("c.extra", 1)],
+                &[("g", 5)],
+            ),
             &[],
         );
         let v = watch_verdict(&baseline, &hot, 0.0);

@@ -211,7 +211,9 @@ impl Histogram {
             if (seen + in_bucket) as f64 >= rank {
                 let (lo, hi) = Self::bucket_bounds(i);
                 // The true maximum caps the top bucket's upper edge.
-                let hi = (hi as f64).min(self.max() as f64 + 1.0).max(lo as f64 + 1.0);
+                let hi = (hi as f64)
+                    .min(self.max() as f64 + 1.0)
+                    .max(lo as f64 + 1.0);
                 let into = (rank - seen as f64) / in_bucket as f64;
                 return lo as f64 + (hi - lo as f64) * into;
             }
@@ -233,9 +235,12 @@ impl Histogram {
                 self.buckets[i].fetch_add(std::mem::take(n), Ordering::Relaxed);
             }
         }
-        self.count.fetch_add(std::mem::take(&mut local.count), Ordering::Relaxed);
-        self.sum.fetch_add(std::mem::take(&mut local.sum), Ordering::Relaxed);
-        self.max.fetch_max(std::mem::take(&mut local.max), Ordering::Relaxed);
+        self.count
+            .fetch_add(std::mem::take(&mut local.count), Ordering::Relaxed);
+        self.sum
+            .fetch_add(std::mem::take(&mut local.sum), Ordering::Relaxed);
+        self.max
+            .fetch_max(std::mem::take(&mut local.max), Ordering::Relaxed);
     }
 
     /// Raw bucket counts (index = log2 bucket), for export.
@@ -512,10 +517,7 @@ mod tests {
         // bucket_bounds(64) must not shift by 64; its lower edge is 2^63.
         assert_eq!(Histogram::bucket_bounds(64).0, 1u64 << 63);
         let est = h.quantile(1.0);
-        assert!(
-            est >= (1u64 << 63) as f64 && est.is_finite(),
-            "p100 {est}"
-        );
+        assert!(est >= (1u64 << 63) as f64 && est.is_finite(), "p100 {est}");
     }
 
     #[test]
@@ -531,12 +533,18 @@ mod tests {
         for i in 0..=10 {
             let q = f64::from(i) / 10.0;
             let est = h.quantile(q);
-            assert!(est >= prev, "quantile not monotone at q={q}: {est} < {prev}");
+            assert!(
+                est >= prev,
+                "quantile not monotone at q={q}: {est} < {prev}"
+            );
             assert!((512.0..=1024.0).contains(&est), "q{q} -> {est}");
             prev = est;
         }
         let p50 = h.quantile(0.5);
-        assert!((700.0..=830.0).contains(&p50), "p50 of [512,1024) was {p50}");
+        assert!(
+            (700.0..=830.0).contains(&p50),
+            "p50 of [512,1024) was {p50}"
+        );
     }
 
     #[test]
@@ -553,7 +561,10 @@ mod tests {
         let direct = Histogram::new();
         let folded = Histogram::new();
         let mut local = LocalHistogram::default();
-        for (i, v) in [0u64, 1, 3, 700, 700, 1 << 40, 5, 999].into_iter().enumerate() {
+        for (i, v) in [0u64, 1, 3, 700, 700, 1 << 40, 5, 999]
+            .into_iter()
+            .enumerate()
+        {
             direct.record(v);
             local.record(v);
             // Fold at uneven checkpoints: nothing is dropped or doubled.
@@ -573,11 +584,7 @@ mod tests {
     /// Drives `events` events through a fresh sampler labelled `label`,
     /// recording event `i`'s value as `value(i)` when asked; returns the
     /// sampler and the indices it measured.
-    fn drive(
-        label: &str,
-        events: u64,
-        value: impl Fn(u64) -> u64,
-    ) -> (SampledHistogram, Vec<u64>) {
+    fn drive(label: &str, events: u64, value: impl Fn(u64) -> u64) -> (SampledHistogram, Vec<u64>) {
         let mut h = SampledHistogram::new(label);
         let mut measured = Vec::new();
         for i in 0..events {

@@ -203,7 +203,11 @@ mod tests {
             };
             for n in iter {
                 r.histogram(n).record(100); // equal totals: a three-way tie
-                let short = n.strip_prefix("span.").unwrap().strip_suffix(".ns").unwrap();
+                let short = n
+                    .strip_prefix("span.")
+                    .unwrap()
+                    .strip_suffix(".ns")
+                    .unwrap();
                 r.counter(&format!("span.{short}.self_ns")).add(100);
             }
             r.counter("zz.total").add(1);

@@ -88,9 +88,7 @@ impl Drop for SpanGuard {
             child
         });
         self.target.total.record(total_ns);
-        self.target
-            .self_ns
-            .add(total_ns.saturating_sub(child_ns));
+        self.target.self_ns.add(total_ns.saturating_sub(child_ns));
         // Flight recorder: a complete ("X") event carrying start +
         // duration, emitted at drop so a wrapped ring can never hold an
         // unbalanced begin/end pair. One relaxed load when tracing is
@@ -157,9 +155,7 @@ impl Laps {
             s.last_mut().map_or(0, std::mem::take)
         });
         self.target.total.absorb(&mut self.laps);
-        self.target
-            .self_ns
-            .add(total_ns.saturating_sub(child_ns));
+        self.target.self_ns.add(total_ns.saturating_sub(child_ns));
     }
 }
 

@@ -825,7 +825,13 @@ fn record_complete_with(sym: Sym, start_ns: impl FnOnce() -> u64, dur_ns: u64) {
         if hot & HOT_CAPPED != 0 && !cap_admits(stage, end_ns) {
             return;
         }
-        stage_push(tb, stage, start_ns, pack_sym_kind(sym, EventKind::Complete), dur_ns);
+        stage_push(
+            tb,
+            stage,
+            start_ns,
+            pack_sym_kind(sym, EventKind::Complete),
+            dur_ns,
+        );
     });
 }
 
@@ -1490,9 +1496,8 @@ pub fn install_panic_hook(path: impl Into<PathBuf>) {
         let target = PANIC_HOOK.get().expect("panic hook path").clone();
         // catch_unwind: a second panic inside the hook would abort the
         // process before the default hook's message is useful.
-        let wrote = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            write_chrome_trace(&target)
-        }));
+        let wrote =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| write_chrome_trace(&target)));
         match wrote {
             Ok(Ok(n)) => eprintln!(
                 "btpub-obs: flight recorder flushed {n} events to {} after panic",
@@ -1902,7 +1907,9 @@ mod tests {
             "outside the window 1-in-1000000 sampling keeps almost nothing: {payloads:?}"
         );
         assert!(
-            snap.symbols.iter().any(|s| s == "trace.adaptive.full_rate.enter"),
+            snap.symbols
+                .iter()
+                .any(|s| s == "trace.adaptive.full_rate.enter"),
             "the window boundary is marked in the trace"
         );
 
@@ -1959,7 +1966,11 @@ mod tests {
         ));
         assert!(trip("unit.unwritable.a").is_none());
         assert!(
-            BLACKBOX.lock().expect("trace blackbox lock").prefix.is_none(),
+            BLACKBOX
+                .lock()
+                .expect("trace blackbox lock")
+                .prefix
+                .is_none(),
             "a failed dump clears the prefix so later trips are no-ops"
         );
         reset_blackbox_for_tests();
