@@ -14,6 +14,24 @@ use btpub_tracker::sim::{probe_with, ClientId, ProbeOutcome, QueryError, Tracker
 use crate::dataset::{Dataset, IpFailure, Sighting, TorrentRecord};
 use crate::sink::{CollectSink, RecordSink};
 
+/// Peers requested per query: the tracker's maximum.
+const NUMWANT: usize = btpub_tracker::MAX_NUMWANT;
+
+/// Consecutive empty replies after which a torrent is no longer
+/// monitored.
+const EMPTY_REPLIES_TO_STOP: u32 = 10;
+
+/// Largest swarm population at which seeder identification is still
+/// attempted.
+const PROBE_PEER_LIMIT: usize = 20;
+
+/// Identification attempts allowed per torrent (its first N queries).
+const IDENT_ATTEMPTS: u32 = 6;
+
+/// Consecutive failed announces tolerated per torrent before the
+/// crawler records a failure cause and resumes its normal cadence.
+const MAX_FAULT_RETRIES: u32 = 6;
+
 /// Crawl parameters (§2 defaults).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrawlerConfig {
@@ -23,26 +41,15 @@ pub struct CrawlerConfig {
     /// the tracker's per-client rate limit; together they observe the
     /// swarm `vantage_points`× more often.
     pub vantage_points: u32,
-    /// Peers requested per query (the tracker's maximum, 200).
-    pub numwant: usize,
     /// RSS polling period.
     pub rss_poll: SimDuration,
-    /// Stop monitoring after this many consecutive empty replies.
-    pub empty_replies_to_stop: u32,
     /// Collect usernames from the feed (false replicates mn08).
     pub collect_usernames: bool,
     /// Query the tracker only once per torrent (replicates pb09).
     pub single_query: bool,
-    /// Maximum swarm population for attempting seeder identification.
-    pub probe_peer_limit: usize,
-    /// Identification attempts allowed (first N queries).
-    pub ident_attempts: u32,
     /// Fault profile injected into the tracker, feed and probe paths
     /// (`clean` = no injection, the historical behaviour).
     pub fault_profile: FaultProfile,
-    /// Consecutive failed announces tolerated per torrent before the
-    /// crawler records a failure cause and resumes its normal cadence.
-    pub max_fault_retries: u32,
     /// Optional cap on the crawl horizon, in simulated seconds. The
     /// crawl stops at `min(cap, ecosystem horizon)` — the generated
     /// world is untouched (shrinking the ecosystem's own duration would
@@ -57,15 +64,10 @@ impl Default for CrawlerConfig {
         CrawlerConfig {
             name: "crawl".into(),
             vantage_points: 4,
-            numwant: 200,
             rss_poll: SimDuration::from_mins(10.0),
-            empty_replies_to_stop: 10,
             collect_usernames: true,
             single_query: false,
-            probe_peer_limit: 20,
-            ident_attempts: 6,
             fault_profile: FaultProfile::clean(),
-            max_fault_retries: 6,
             horizon_secs: None,
         }
     }
@@ -374,7 +376,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                         observed: FxHashSet::default(),
                         empty_streak: 0,
                         empty_since: None,
-                        ident_attempts_left: cfg.ident_attempts,
+                        ident_attempts_left: IDENT_ATTEMPTS,
                         fault_retries: 0,
                     };
                     states.insert(item.torrent, state);
@@ -478,7 +480,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                     torrent,
                     &mut state.cursor,
                     now,
-                    cfg.numwant,
+                    NUMWANT,
                     &mut peers,
                 ) {
                     Ok(r) => r,
@@ -506,7 +508,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                             state.record.ip_failure = Some(fault_cause(err));
                             state.ident_attempts_left = 0;
                         }
-                        if state.fault_retries > cfg.max_fault_retries {
+                        if state.fault_retries > MAX_FAULT_RETRIES {
                             btpub_obs::static_counter!("crawler.query.gaveup").inc();
                             state.fail_once(fault_cause(err));
                             state.fault_retries = 0;
@@ -593,7 +595,7 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                 // swarm, bitfield probes.
                 if state.record.publisher_ip.is_none() && state.ident_attempts_left > 0 {
                     state.ident_attempts_left -= 1;
-                    if population >= cfg.probe_peer_limit {
+                    if population >= PROBE_PEER_LIMIT {
                         state.record.ip_failure = Some(IpFailure::LargeSwarmAtBirth);
                         state.ident_attempts_left = 0; // hopeless from now on
                     } else if reply.complete == 1 {
@@ -651,11 +653,11 @@ pub fn run_crawl_with<S: RecordSink>(eco: &Ecosystem, cfg: &CrawlerConfig, sink:
                 let silence_long_enough = state.empty_since.is_some_and(|since| {
                     now.since(since)
                         >= SimDuration(
-                            reply.min_interval.secs() * u64::from(cfg.empty_replies_to_stop),
+                            reply.min_interval.secs() * u64::from(EMPTY_REPLIES_TO_STOP),
                         )
                 });
                 if cfg.single_query
-                    || (state.empty_streak >= cfg.empty_replies_to_stop && silence_long_enough)
+                    || (state.empty_streak >= EMPTY_REPLIES_TO_STOP && silence_long_enough)
                 {
                     break 'query true;
                 }

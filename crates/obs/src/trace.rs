@@ -24,7 +24,7 @@
 //! ## Why armed is cheap
 //!
 //! The armed hot path used to cost a `clock_gettime` plus a mutex
-//! round-trip per event (~32% on the announce lap). Three changes take
+//! round-trip per event (~32% on the announce lap). These changes take
 //! it to low single digits:
 //!
 //! * **Staged, batched writes.** Each thread stages events into a plain
@@ -45,10 +45,11 @@
 //!   arming adds no clock read to the others. The crawl's
 //!   [`Laps`](crate::span::Laps) still read the clock once per event and
 //!   emit every tick.
-//! * **Packed 16-byte ring slots.** Rings store events as a `u32`
-//!   microsecond delta against a per-ring epoch (rebased if a ring ever
-//!   spans more than ~71 minutes), a packed `sym`+kind word and the
-//!   `u64` payload — 16 bytes instead of 24, decoded only at drain.
+//! * **One event form.** The stage and the ring hold the 24-byte
+//!   [`Event`] the record site built (absolute ns, payload, symbol,
+//!   kind), so a flush is a slice copy and a drain decodes nothing. A
+//!   ring keeps every timestamp to the nanosecond and any span of time;
+//!   only its capacity bounds what it holds.
 //!
 //! ## Sampling and throttling
 //!
@@ -76,26 +77,21 @@ use std::sync::{Mutex, OnceLock};
 
 use serde_json::{Map, Value};
 
-/// Per-thread ring capacity in events (~256 KiB per thread at the
-/// packed 16-byte slot size, and only for threads that actually
-/// record).
+/// Per-thread ring capacity in events: 384 KiB of 24-byte [`Event`]s
+/// per thread that records while armed. Nothing is allocated while
+/// the recorder is off.
 pub const RING_CAPACITY: usize = 16 * 1024;
 
 /// Staged events per thread before a batched flush into the shared
-/// ring: the ring mutex is paid once per this many events. 4 KiB of
-/// packed slots — L1-resident, and the most a drain can miss from
-/// another thread's unflushed stage.
+/// ring: the ring mutex is paid once per this many events. 6 KiB of
+/// events — L1-resident, and the most a drain can miss from another
+/// thread's unflushed stage.
 const STAGE_FLUSH: usize = 256;
 
 /// Instant-path events between forced reads of the monotonic clock.
 /// Complete events advance the cached clock for free, so spans keep it
 /// honest even between refreshes.
 const CLOCK_REFRESH: u32 = 32;
-
-/// Widest timestamp range one ring epoch can represent
-/// (`u32::MAX` microseconds ≈ 71.6 minutes); crossing it rebases the
-/// ring, dropping events older than the window.
-const RING_WINDOW_NS: u64 = (u32::MAX as u64) * 1000;
 
 /// Events per lane included in a black-box [`trip`] dump.
 const BLACKBOX_EVENTS: usize = 2048;
@@ -242,8 +238,7 @@ pub fn now_ns() -> u64 {
 }
 
 /// An interned event name: 4 bytes in the event, resolved back to the
-/// string at drain time. Ids stay below 2^30 so a packed ring slot can
-/// carry the kind in the top bits.
+/// string at drain time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Sym(u32);
 
@@ -265,7 +260,6 @@ pub fn sym(name: &str) -> Sym {
         return Sym(id);
     }
     let id = u32::try_from(interner.names.len()).expect("trace symbol space exhausted");
-    assert!(id < SYM_LIMIT, "trace symbol space exhausted");
     interner.names.push(name.to_string());
     interner.index.insert(name.to_string(), id);
     Sym(id)
@@ -293,12 +287,12 @@ pub enum EventKind {
     Counter,
 }
 
-/// One decoded flight-recorder event.
+/// One flight-recorder event, 24 bytes: the form a record site builds,
+/// the stage and the ring store, and a drain returns.
 #[derive(Debug, Clone, Copy)]
 pub struct Event {
     /// Nanoseconds since the observability epoch (span start for
-    /// [`EventKind::Complete`]). Ring storage quantizes this to whole
-    /// microseconds — Chrome trace resolution anyway.
+    /// [`EventKind::Complete`]).
     pub t_ns: u64,
     /// Duration (`Complete`), argument (`Instant`) or value (`Counter`).
     pub payload: u64,
@@ -308,275 +302,79 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-const SYM_LIMIT: u32 = 1 << 30;
-
-/// The 16-byte stored form: a µs delta against the ring's epoch, the
-/// symbol with the kind packed into the top two bits, and the payload.
-#[derive(Debug, Clone, Copy)]
-struct Packed {
-    dt_us: u32,
-    sym_kind: u32,
-    payload: u64,
-}
-
-fn pack_sym_kind(sym: Sym, kind: EventKind) -> u32 {
-    debug_assert!(sym.0 < SYM_LIMIT);
-    sym.0
-        | match kind {
-            EventKind::Complete => 0,
-            EventKind::Instant => 1 << 30,
-            EventKind::Counter => 2 << 30,
-        }
-}
-
-fn unpack_kind(sym_kind: u32) -> EventKind {
-    match sym_kind >> 30 {
-        0 => EventKind::Complete,
-        1 => EventKind::Instant,
-        _ => EventKind::Counter,
-    }
-}
-
 /// A bounded event ring: grows lazily up to its capacity, then wraps,
-/// overwriting the oldest event and counting the overwrite. Events are
-/// stored packed (16 bytes) against a per-ring epoch and decoded on
-/// the way out.
+/// overwriting the oldest event and counting the overwrite.
 #[derive(Debug)]
-pub struct RingBuf {
-    buf: Vec<Packed>,
+struct RingBuf {
+    buf: Vec<Event>,
     capacity: usize,
+    /// The oldest event's slot once the ring is full; 0 until then.
     head: usize,
+    /// Events overwritten because the ring was full.
     dropped: u64,
+    /// Events rejected by the `cap:` rate throttle on this ring's
+    /// thread.
     capped: u64,
-    base_ns: u64,
-    has_base: bool,
 }
 
 impl RingBuf {
     /// An empty ring that will hold at most `capacity` events. No
-    /// memory is allocated until the first push.
-    pub fn with_capacity(capacity: usize) -> Self {
+    /// memory is allocated until the first event arrives.
+    fn with_capacity(capacity: usize) -> Self {
         RingBuf {
             buf: Vec::new(),
             capacity: capacity.max(1),
             head: 0,
             dropped: 0,
             capped: 0,
-            base_ns: 0,
-            has_base: false,
         }
     }
 
-    /// Appends an event, overwriting the oldest (and counting the drop)
-    /// once the ring is full. The timestamp is stored as a µs delta
-    /// against the ring epoch; an event more than ~71 minutes past the
-    /// epoch rebases the ring (dropping anything older than the new
-    /// window), and one before it moves the epoch back.
-    pub fn push(&mut self, e: Event) {
-        if !self.has_base {
-            self.base_ns = e.t_ns;
-            self.has_base = true;
-        }
-        if e.t_ns < self.base_ns {
-            self.move_epoch_back(e.t_ns);
-        }
-        let mut dt_us = e.t_ns.saturating_sub(self.base_ns) / 1000;
-        if dt_us > u64::from(u32::MAX) {
-            self.rebase(e.t_ns);
-            dt_us = e.t_ns.saturating_sub(self.base_ns) / 1000;
-        }
-        self.push_packed(Packed {
-            dt_us: dt_us as u32,
-            sym_kind: pack_sym_kind(e.sym, e.kind),
-            payload: e.payload,
-        });
+    #[cfg(test)]
+    fn push(&mut self, e: Event) {
+        self.absorb(&[e]);
     }
 
-    #[inline]
-    fn push_packed(&mut self, p: Packed) {
-        if self.buf.len() < self.capacity {
-            self.buf.push(p);
-        } else {
-            self.buf[self.head] = p;
-            self.head += 1;
-            if self.head == self.capacity {
-                self.head = 0;
-            }
-            self.dropped += 1;
+    /// Copies a staged batch in: the events fill the free slots, then
+    /// overwrite the oldest from `head` on, each overwrite counted in
+    /// `dropped`.
+    fn absorb(&mut self, events: &[Event]) {
+        let fill = (self.capacity - self.buf.len()).min(events.len());
+        self.buf.extend_from_slice(&events[..fill]);
+        let mut rest = &events[fill..];
+        while !rest.is_empty() {
+            let run = (self.capacity - self.head).min(rest.len());
+            self.buf[self.head..self.head + run].copy_from_slice(&rest[..run]);
+            self.head = (self.head + run) % self.capacity;
+            self.dropped += run as u64;
+            rest = &rest[run..];
         }
-    }
-
-    /// Bulk intake of a staged batch already packed against
-    /// `batch_base_ns` (its first event's timestamp): per event this is
-    /// one shift-add plus a store, where [`push`] would re-derive the
-    /// delta from nanoseconds. A batch epoch behind the ring's (a span
-    /// that opened before the ring's first event) moves the epoch back;
-    /// an event past the u32-µs window rebases the ring, as in [`push`].
-    /// A batch that fits the window, the usual case, is copied in at
-    /// most three slice runs, without a per-event branch.
-    fn absorb(&mut self, batch_base_ns: u64, events: &[Packed]) {
-        if events.is_empty() {
-            return;
-        }
-        if !self.has_base {
-            self.base_ns = batch_base_ns;
-            self.has_base = true;
-        }
-        if batch_base_ns < self.base_ns {
-            self.move_epoch_back(batch_base_ns);
-        }
-        let mut shift_us = batch_base_ns.saturating_sub(self.base_ns) / 1000;
-        let newest_us = events.iter().map(|p| p.dt_us).max().unwrap_or(0);
-        if shift_us + u64::from(newest_us) <= u64::from(u32::MAX) {
-            let shift = shift_us as u32;
-            let shifted = |p: &Packed| Packed {
-                dt_us: p.dt_us + shift,
-                ..*p
-            };
-            let mut rest = events;
-            if self.buf.len() < self.capacity {
-                let fill = (self.capacity - self.buf.len()).min(rest.len());
-                self.buf.extend(rest[..fill].iter().map(shifted));
-                rest = &rest[fill..];
-            }
-            while !rest.is_empty() {
-                let run = (self.capacity - self.head).min(rest.len());
-                let slots = &mut self.buf[self.head..self.head + run];
-                for (slot, p) in slots.iter_mut().zip(&rest[..run]) {
-                    *slot = shifted(p);
-                }
-                self.head = (self.head + run) % self.capacity;
-                self.dropped += run as u64;
-                rest = &rest[run..];
-            }
-            return;
-        }
-        for p in events {
-            let mut dt = shift_us + u64::from(p.dt_us);
-            if dt > u64::from(u32::MAX) {
-                self.rebase(batch_base_ns + u64::from(p.dt_us) * 1000);
-                shift_us = batch_base_ns.saturating_sub(self.base_ns) / 1000;
-                dt = (shift_us + u64::from(p.dt_us)).min(u64::from(u32::MAX));
-            }
-            self.push_packed(Packed {
-                dt_us: dt as u32,
-                sym_kind: p.sym_kind,
-                payload: p.payload,
-            });
-        }
-    }
-
-    /// Moves the epoch back by whole microseconds to at most `t_ns`, so
-    /// an event that precedes everything held keeps its time (to the
-    /// µs) instead of clamping to the epoch. Held events shift by the
-    /// same whole µs and decode unchanged. The epoch stops short where
-    /// the newest held event would leave the u32-µs window; an earlier
-    /// event then clamps to it.
-    fn move_epoch_back(&mut self, t_ns: u64) {
-        let newest_us = self.buf.iter().map(|p| p.dt_us).max().unwrap_or(0);
-        let room_us = u64::from(u32::MAX - newest_us);
-        let back_us = (self.base_ns - t_ns).div_ceil(1000).min(room_us);
-        for p in &mut self.buf {
-            p.dt_us += back_us as u32;
-        }
-        self.base_ns -= back_us * 1000;
-    }
-
-    /// Moves the epoch forward so `t_ns` fits in the u32-µs window,
-    /// dropping (and counting) events that fall out of it.
-    fn rebase(&mut self, t_ns: u64) {
-        let events = self.decode_ordered();
-        let min_keep = t_ns.saturating_sub(RING_WINDOW_NS);
-        self.base_ns = min_keep;
-        self.buf.clear();
-        self.head = 0;
-        let mut kept = 0usize;
-        for e in &events {
-            if e.t_ns < min_keep {
-                continue;
-            }
-            self.buf.push(Packed {
-                dt_us: ((e.t_ns - min_keep) / 1000) as u32,
-                sym_kind: pack_sym_kind(e.sym, e.kind),
-                payload: e.payload,
-            });
-            kept += 1;
-        }
-        self.dropped += (events.len() - kept) as u64;
-    }
-
-    fn unpack(&self, p: Packed) -> Event {
-        Event {
-            t_ns: self.base_ns + u64::from(p.dt_us) * 1000,
-            payload: p.payload,
-            sym: Sym(p.sym_kind & (SYM_LIMIT - 1)),
-            kind: unpack_kind(p.sym_kind),
-        }
-    }
-
-    fn decode_ordered(&self) -> Vec<Event> {
-        let split = self.head.min(self.buf.len());
-        let (newer, older) = self.buf.split_at(split);
-        older
-            .iter()
-            .chain(newer.iter())
-            .map(|&p| self.unpack(p))
-            .collect()
-    }
-
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events overwritten because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Events rejected by the `cap:` rate throttle on this ring's
-    /// thread.
-    pub fn capped(&self) -> u64 {
-        self.capped
     }
 
     /// The newest `n` events, oldest first, without draining.
-    pub fn last(&self, n: usize) -> Vec<Event> {
-        let mut events = self.decode_ordered();
-        if events.len() > n {
-            events.drain(..events.len() - n);
-        }
-        events
+    fn last(&self, n: usize) -> Vec<Event> {
+        let (newer, older) = self.buf.split_at(self.head);
+        let skip = self.buf.len().saturating_sub(n);
+        older.iter().chain(newer).skip(skip).copied().collect()
     }
 
     /// Removes and returns all held events, oldest first, resetting the
-    /// epoch and the drop/cap accounting.
-    pub fn drain_ordered(&mut self) -> Vec<Event> {
-        let out = self.decode_ordered();
-        self.buf = Vec::new();
+    /// drop/cap accounting.
+    fn drain_ordered(&mut self) -> Vec<Event> {
+        let mut out = std::mem::take(&mut self.buf);
+        out.rotate_left(self.head);
         self.head = 0;
         self.dropped = 0;
         self.capped = 0;
-        self.has_base = false;
         out
     }
 }
 
 /// The owner-thread staging area in front of a ring: a plain `Vec` of
-/// already-packed events (against `base_ns`, the batch's first
-/// timestamp) plus the coarse clock and rate-cap state. Only ever
-/// touched by the thread that registered it. Packing at record time
-/// makes the flush a bulk [`RingBuf::absorb`] — one rebase check per
-/// event instead of a nanosecond round-trip — and halves the staged
-/// write traffic.
+/// events plus the coarse clock and rate-cap state. Only ever touched
+/// by the thread that registered it.
 struct Stage {
-    buf: Vec<Packed>,
-    base_ns: u64,
+    buf: Vec<Event>,
     coarse_ns: u64,
     refresh_left: u32,
     cap_sec: u64,
@@ -638,7 +436,6 @@ fn register_current_thread() -> *const ThreadBuf {
         ring: Mutex::new(RingBuf::with_capacity(RING_CAPACITY)),
         stage: UnsafeCell::new(Stage {
             buf: Vec::with_capacity(STAGE_FLUSH),
-            base_ns: 0,
             coarse_ns: 0,
             refresh_left: 0,
             cap_sec: 0,
@@ -680,33 +477,15 @@ fn flush_stage(tb: &ThreadBuf, stage: &mut Stage) {
         return;
     }
     let mut ring = tb.ring.lock().expect("trace ring lock");
-    ring.absorb(stage.base_ns, &stage.buf);
+    ring.absorb(&stage.buf);
     stage.buf.clear();
     ring.capped += std::mem::take(&mut stage.capped);
 }
 
-/// Stages one packed event, starting a new batch epoch when the stage
-/// is empty and flushing when it fills. An event the batch epoch cannot
-/// hold starts a batch of its own: one that precedes it (a complete
-/// event whose span opened before the batch's first event, which a
-/// clamp would draw after the work it encloses) or one past the u32-µs
-/// window (71 minutes between flushes on one thread).
+/// Stages one event, flushing the batch when it fills.
 #[inline]
-fn stage_push(tb: &ThreadBuf, stage: &mut Stage, t_ns: u64, sym_kind: u32, payload: u64) {
-    if stage.buf.is_empty() {
-        stage.base_ns = t_ns;
-    }
-    let mut dt_us = t_ns.wrapping_sub(stage.base_ns) / 1000;
-    if t_ns < stage.base_ns || dt_us > u64::from(u32::MAX) {
-        flush_stage(tb, stage);
-        stage.base_ns = t_ns;
-        dt_us = 0;
-    }
-    stage.buf.push(Packed {
-        dt_us: dt_us as u32,
-        sym_kind,
-        payload,
-    });
+fn stage_push(tb: &ThreadBuf, stage: &mut Stage, e: Event) {
+    stage.buf.push(e);
     if stage.buf.len() >= STAGE_FLUSH {
         flush_stage(tb, stage);
     }
@@ -749,26 +528,44 @@ fn cap_admits(stage: &mut Stage, t_ns: u64) -> bool {
     true
 }
 
-/// Records an event timestamped with the coarse batched clock. No-op
-/// (one relaxed load) when the recorder is off.
+/// The gate every record site opens with: `None` when the recorder is
+/// off (one relaxed load in the steady state) or the sampling table
+/// drops `sym`, else the gate word, whose `HOT_CAPPED` bit the site
+/// still consults.
 #[inline]
-pub fn record(sym: Sym, kind: EventKind, payload: u64) {
+fn admit(sym: Sym) -> Option<u32> {
     let mut hot = HOT.load(Ordering::Relaxed);
     if hot & HOT_ON == 0 {
         if hot & HOT_INIT != 0 || !enabled() {
-            return;
+            return None;
         }
         hot = HOT.load(Ordering::Relaxed);
     }
     if hot & HOT_SAMPLED != 0 && !keep(sym) {
-        return;
+        return None;
     }
+    Some(hot)
+}
+
+/// Records an event timestamped with the coarse batched clock. No-op
+/// when the recorder is off. Not `#[inline]`: the trace macros and
+/// [`record_named`] pass the one-load [`enabled`] gate before calling
+/// it, so its armed body stays out of line rather than growing each
+/// hot caller.
+pub fn record(sym: Sym, kind: EventKind, payload: u64) {
+    let Some(hot) = admit(sym) else { return };
     with_stage(|tb, stage| {
         let t_ns = stage_now(stage);
         if hot & HOT_CAPPED != 0 && !cap_admits(stage, t_ns) {
             return;
         }
-        stage_push(tb, stage, t_ns, pack_sym_kind(sym, kind), payload);
+        let e = Event {
+            t_ns,
+            payload,
+            sym,
+            kind,
+        };
+        stage_push(tb, stage, e);
     });
 }
 
@@ -782,41 +579,16 @@ pub fn record_named(name: &str, kind: EventKind, payload: u64) {
     record(sym(name), kind, payload);
 }
 
-/// Records a complete span event: `start_ns` relative to the epoch
-/// plus its duration — timestamps the caller derived from a clock
-/// reading it already held, so this path never reads the clock. The
-/// event's end advances the thread's coarse clock for free. No-op (one
-/// relaxed load) when off.
-#[inline]
-pub fn record_complete(sym: Sym, start_ns: u64, dur_ns: u64) {
-    record_complete_with(sym, || start_ns, dur_ns);
-}
-
-/// [`record_complete`] for sites timed on the integer clock: `start`
-/// is a [`crate::clock::now`] reading. The epoch conversion, one
-/// subtraction, runs *after* the one-load gate, so a disarmed site pays
-/// exactly one relaxed load and an armed site needs no separate
-/// `enabled()` check to make the conversion conditional.
+/// Records a complete span event for a site timed on the integer clock:
+/// `start` is a [`crate::clock::now`] reading and `dur_ns` the span's
+/// length, both of which the caller already paid for, so this path
+/// never reads the clock. The event's end advances the thread's coarse
+/// clock for free. The epoch conversion, one subtraction, runs *after*
+/// the gate, so a disarmed site pays exactly one relaxed load.
 #[inline]
 pub fn record_complete_since(sym: Sym, start: u64, dur_ns: u64) {
-    record_complete_with(sym, || crate::clock::to_epoch(start), dur_ns);
-}
-
-/// The gate and staging shared by the complete-event entry points;
-/// `start_ns` runs only when the event is admitted.
-#[inline]
-fn record_complete_with(sym: Sym, start_ns: impl FnOnce() -> u64, dur_ns: u64) {
-    let mut hot = HOT.load(Ordering::Relaxed);
-    if hot & HOT_ON == 0 {
-        if hot & HOT_INIT != 0 || !enabled() {
-            return;
-        }
-        hot = HOT.load(Ordering::Relaxed);
-    }
-    if hot & HOT_SAMPLED != 0 && !keep(sym) {
-        return;
-    }
-    let start_ns = start_ns();
+    let Some(hot) = admit(sym) else { return };
+    let start_ns = crate::clock::to_epoch(start);
     with_stage(|tb, stage| {
         let end_ns = start_ns.saturating_add(dur_ns);
         if end_ns > stage.coarse_ns {
@@ -825,13 +597,13 @@ fn record_complete_with(sym: Sym, start_ns: impl FnOnce() -> u64, dur_ns: u64) {
         if hot & HOT_CAPPED != 0 && !cap_admits(stage, end_ns) {
             return;
         }
-        stage_push(
-            tb,
-            stage,
-            start_ns,
-            pack_sym_kind(sym, EventKind::Complete),
-            dur_ns,
-        );
+        let e = Event {
+            t_ns: start_ns,
+            payload: dur_ns,
+            sym,
+            kind: EventKind::Complete,
+        };
+        stage_push(tb, stage, e);
     });
 }
 
@@ -992,8 +764,8 @@ fn parse_sample_spec(spec: &str) -> Result<ParsedSpec, String> {
                 })
                 .collect(),
             global: global.map(|every| SampleSite {
-                // Never compared against a real Sym (those stay below
-                // SYM_LIMIT); the global site matches by fallthrough.
+                // Never compared: the global site matches by
+                // fallthrough, after every named site.
                 sym: Sym(u32::MAX),
                 stream_hash: fnv1a(b"*"),
                 every,
@@ -1171,28 +943,8 @@ impl TraceSnapshot {
 /// so silent event loss shows up in `--metrics` output and the text
 /// report, not only in the trace file.
 pub fn drain() -> TraceSnapshot {
-    flush_current_thread();
-    let threads = THREADS.lock().expect("trace threads lock");
-    let mut out = Vec::new();
-    for t in threads.iter() {
-        let mut ring = t.ring.lock().expect("trace ring lock");
-        let dropped = ring.dropped();
-        let capped = ring.capped();
-        let events = ring.drain_ordered();
-        if events.is_empty() && dropped == 0 && capped == 0 {
-            continue;
-        }
-        out.push(ThreadTrace {
-            tid: t.tid,
-            name: t.name.clone(),
-            events,
-            dropped,
-            capped,
-        });
-    }
-    drop(threads);
-    out.sort_by_key(|t| t.tid);
-    for t in &out {
+    let snap = walk_lanes(RingBuf::drain_ordered);
+    for t in &snap.threads {
         if t.dropped > 0 {
             crate::counter(&format!("trace.dropped.{}", t.name)).add(t.dropped);
         }
@@ -1200,10 +952,7 @@ pub fn drain() -> TraceSnapshot {
             crate::counter(&format!("trace.capped.{}", t.name)).add(t.capped);
         }
     }
-    TraceSnapshot {
-        threads: out,
-        symbols: current_symbols(),
-    }
+    snap
 }
 
 /// A bounded copy of the newest `per_thread` events per lane *without*
@@ -1213,14 +962,21 @@ pub fn drain() -> TraceSnapshot {
 /// events each, are not visible here; only the calling thread's stage
 /// is flushed.)
 pub fn snapshot_last(per_thread: usize) -> TraceSnapshot {
+    walk_lanes(|ring| ring.last(per_thread))
+}
+
+/// The lane walk under [`drain`] and [`snapshot_last`]: flushes the
+/// calling thread's stage, then takes `events` from each ring under its
+/// lock, with the drop/cap accounting read before. Lanes with nothing
+/// to report are left out; the rest are sorted by lane id.
+fn walk_lanes(mut events: impl FnMut(&mut RingBuf) -> Vec<Event>) -> TraceSnapshot {
     flush_current_thread();
     let threads = THREADS.lock().expect("trace threads lock");
     let mut out = Vec::new();
     for t in threads.iter() {
-        let ring = t.ring.lock().expect("trace ring lock");
-        let events = ring.last(per_thread);
-        let dropped = ring.dropped();
-        let capped = ring.capped();
+        let mut ring = t.ring.lock().expect("trace ring lock");
+        let (dropped, capped) = (ring.dropped, ring.capped);
+        let events = events(&mut ring);
         if events.is_empty() && dropped == 0 && capped == 0 {
             continue;
         }
@@ -1458,18 +1214,6 @@ pub fn trip(reason: &str) -> Option<PathBuf> {
     Some(path)
 }
 
-/// Resets the process-global black-box state (prefix, per-reason dedup
-/// list, per-process dump count). The dedup list and cap are
-/// deliberately never reset in production — this exists so tests of the
-/// trip path can run from a known state.
-#[doc(hidden)]
-pub fn reset_blackbox_for_tests() {
-    let mut bb = BLACKBOX.lock().expect("trace blackbox lock");
-    bb.prefix = None;
-    bb.seen.clear();
-    bb.written = 0;
-}
-
 static PANIC_HOOK: OnceLock<PathBuf> = OnceLock::new();
 
 /// Installs (once per process) a panic hook that, after the default
@@ -1558,8 +1302,6 @@ mod tests {
 
     fn ev(sym: Sym, payload: u64) -> Event {
         Event {
-            // Whole-µs timestamps: the packed ring stores µs deltas, so
-            // sub-µs inputs would be quantized away (tested separately).
             t_ns: payload * 1000,
             payload,
             sym,
@@ -1567,12 +1309,23 @@ mod tests {
         }
     }
 
+    /// Resets the process-global black-box state (prefix, per-reason
+    /// dedup list, per-process dump count), which production never
+    /// resets, so the trip path can be tested from a known state.
+    fn reset_blackbox_for_tests() {
+        let mut bb = BLACKBOX.lock().expect("trace blackbox lock");
+        bb.prefix = None;
+        bb.seen.clear();
+        bb.written = 0;
+    }
+
     #[test]
     fn ring_is_lazy_and_bounded() {
         let ring = RingBuf::with_capacity(1024);
-        assert!(ring.is_empty());
-        assert_eq!(ring.dropped(), 0);
-        assert_eq!(ring.capped(), 0);
+        assert!(ring.buf.is_empty());
+        assert_eq!(ring.buf.capacity(), 0, "no memory before the first event");
+        assert_eq!(ring.dropped, 0);
+        assert_eq!(ring.capped, 0);
     }
 
     #[test]
@@ -1582,12 +1335,12 @@ mod tests {
         for i in 0..10u64 {
             ring.push(ev(s, i));
         }
-        assert_eq!(ring.len(), 4);
-        assert_eq!(ring.dropped(), 6);
+        assert_eq!(ring.buf.len(), 4);
+        assert_eq!(ring.dropped, 6);
         let drained: Vec<u64> = ring.drain_ordered().iter().map(|e| e.payload).collect();
         assert_eq!(drained, vec![6, 7, 8, 9], "oldest events were overwritten");
-        assert_eq!(ring.dropped(), 0, "drain resets drop accounting");
-        assert!(ring.is_empty());
+        assert_eq!(ring.dropped, 0, "drain resets drop accounting");
+        assert!(ring.buf.is_empty());
     }
 
     #[test]
@@ -1599,14 +1352,13 @@ mod tests {
         }
         let drained: Vec<u64> = ring.drain_ordered().iter().map(|e| e.payload).collect();
         assert_eq!(drained, vec![0, 1, 2, 3, 4]);
-        assert_eq!(ring.dropped(), 0);
+        assert_eq!(ring.dropped, 0);
     }
 
     #[test]
-    fn ring_packs_timestamps_as_micros_against_first_event() {
-        let s = sym("test.ring.pack");
+    fn ring_keeps_timestamps_to_the_nanosecond() {
+        let s = sym("test.ring.exact");
         let mut ring = RingBuf::with_capacity(8);
-        // First event pins the epoch exactly; later ones quantize to µs.
         ring.push(Event {
             t_ns: 1_234_567,
             payload: 0,
@@ -1622,91 +1374,58 @@ mod tests {
         let drained = ring.drain_ordered();
         assert_eq!(drained[0].t_ns, 1_234_567);
         assert_eq!(drained[0].kind, EventKind::Complete);
-        assert_eq!(drained[1].t_ns, 1_236_567, "2533ns delta quantized to 2µs");
+        assert_eq!(drained[1].t_ns, 1_237_100, "a 2 533 ns gap is kept whole");
         assert_eq!(drained[1].kind, EventKind::Counter);
         assert_eq!(drained[1].payload, 9);
+        assert_eq!(drained[1].sym, s);
     }
 
     #[test]
-    fn ring_rebases_epoch_past_the_u32_micro_window() {
-        let s = sym("test.ring.rebase");
+    fn ring_keeps_events_hours_apart() {
+        let s = sym("test.ring.hours");
         let mut ring = RingBuf::with_capacity(8);
-        ring.push(ev(s, 1)); // t = 1µs
-        let far = RING_WINDOW_NS + 5_000_000;
+        let two_hours_ns = 2 * 3600 * 1_000_000_000;
+        ring.push(ev(s, 1));
         ring.push(Event {
-            t_ns: far,
-            payload: 2,
-            sym: s,
-            kind: EventKind::Instant,
+            t_ns: 1_000 + two_hours_ns,
+            ..ev(s, 2)
         });
-        assert_eq!(ring.dropped(), 1, "event outside the new window is dropped");
-        let drained = ring.drain_ordered();
-        assert_eq!(drained.len(), 1);
-        assert_eq!(drained[0].t_ns, far, "survivor decodes to its true time");
-        assert_eq!(drained[0].payload, 2);
-    }
-
-    #[test]
-    fn ring_moves_epoch_back_for_an_earlier_event() {
-        let s = sym("test.ring.back");
-        let mut ring = RingBuf::with_capacity(8);
-        ring.push(ev(s, 50));
-        // A span that opened before the ring's first event.
-        ring.push(Event {
-            t_ns: 20_000,
-            payload: 1,
-            sym: s,
-            kind: EventKind::Complete,
-        });
-        // A staged batch whose epoch precedes both.
-        ring.absorb(
-            7_500,
-            &[Packed {
-                dt_us: 3,
-                sym_kind: pack_sym_kind(s, EventKind::Instant),
-                payload: 2,
-            }],
-        );
+        assert_eq!(ring.dropped, 0, "a ring with free slots drops nothing");
         let times: Vec<u64> = ring.drain_ordered().iter().map(|e| e.t_ns).collect();
-        assert_eq!(
-            times,
-            vec![50_000, 20_000, 10_000],
-            "no event clamps to a later epoch"
-        );
+        assert_eq!(times, vec![1_000, 1_000 + two_hours_ns]);
     }
 
     #[test]
     fn ring_absorbs_batches_as_it_pushes_events() {
         let s = sym("test.ring.absorb");
-        let kind = pack_sym_kind(s, EventKind::Instant);
         let (mut pushed, mut absorbed) = (RingBuf::with_capacity(7), RingBuf::with_capacity(7));
         // Batches of 3 against a 7-slot ring: they cross the fill point
         // and then the wrap point at every offset.
         for batch in 0..9u64 {
-            let base_ns = 1_000_000 + batch * 10_000;
-            let events: Vec<Packed> = (0..3u64)
-                .map(|i| Packed {
-                    dt_us: (5 * i) as u32,
-                    sym_kind: kind,
-                    payload: batch * 3 + i,
+            let events: Vec<Event> = (0..3u64)
+                .map(|i| Event {
+                    t_ns: 1_000_000 + batch * 10_000 + 5 * i,
+                    ..ev(s, batch * 3 + i)
                 })
                 .collect();
-            for p in &events {
-                pushed.push(Event {
-                    t_ns: base_ns + u64::from(p.dt_us) * 1000,
-                    payload: p.payload,
-                    sym: s,
-                    kind: EventKind::Instant,
-                });
+            for &e in &events {
+                pushed.push(e);
             }
-            absorbed.absorb(base_ns, &events);
+            absorbed.absorb(&events);
             let held = |ring: &RingBuf| -> Vec<(u64, u64)> {
                 ring.last(7).iter().map(|e| (e.t_ns, e.payload)).collect()
             };
             assert_eq!(held(&absorbed), held(&pushed), "after batch {batch}");
-            assert_eq!(absorbed.dropped(), pushed.dropped(), "after batch {batch}");
+            assert_eq!(absorbed.dropped, pushed.dropped, "after batch {batch}");
+            let newest = batch * 3 + 3;
+            let payloads: Vec<u64> = held(&absorbed).iter().map(|&(_, p)| p).collect();
+            assert_eq!(
+                payloads,
+                (newest.saturating_sub(7)..newest).collect::<Vec<_>>(),
+                "after batch {batch}, the ring holds the newest events in order"
+            );
         }
-        assert_eq!(absorbed.dropped(), 20);
+        assert_eq!(absorbed.dropped, 20);
     }
 
     #[test]
@@ -1718,7 +1437,7 @@ mod tests {
         }
         let last: Vec<u64> = ring.last(2).iter().map(|e| e.payload).collect();
         assert_eq!(last, vec![3, 4]);
-        assert_eq!(ring.len(), 5, "last() must not drain");
+        assert_eq!(ring.buf.len(), 5, "last() must not drain");
     }
 
     #[test]
@@ -1786,9 +1505,13 @@ mod tests {
         // On: events from several threads land in per-thread lanes,
         // chronologically ordered within each lane.
         set_enabled(true);
+        // A span that opened before the events staged ahead of it.
+        let opened = crate::clock::now();
+        let opened_ns = crate::clock::to_epoch(opened);
+        while now_ns() <= opened_ns {}
         trace_instant!("test.global.main", 7u64);
         trace_count!("test.global.gauge", 42u64);
-        record_complete(sym("test.global.span"), 10_000, 25_000);
+        record_complete_since(sym("test.global.span"), opened, 25_000);
         let handles: Vec<_> = (0..2)
             .map(|w| {
                 std::thread::Builder::new()
@@ -1844,10 +1567,21 @@ mod tests {
             .events
             .iter()
             .any(|e| e.kind == EventKind::Counter && e.payload == 42));
-        assert!(main_lane
-            .events
-            .iter()
-            .any(|e| e.kind == EventKind::Complete && e.payload == 25_000));
+        let named = |name: &str| {
+            main_lane
+                .events
+                .iter()
+                .find(|e| snap.name(e.sym) == name)
+                .expect("main lane event")
+        };
+        let span = named("test.global.span");
+        assert_eq!(span.kind, EventKind::Complete);
+        assert_eq!(span.payload, 25_000);
+        assert_eq!(span.t_ns, opened_ns, "the span drains with its exact start");
+        assert!(
+            named("test.global.main").t_ns > span.t_ns,
+            "the span started before the events staged ahead of it"
+        );
 
         // Chrome export: metadata per lane, X/i/C events present.
         let json = chrome_trace(&snap);

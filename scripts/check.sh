@@ -13,10 +13,10 @@ cargo test -q --offline --workspace
 echo "== clippy (all targets, warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== format: btpub-par must be rustfmt-clean =="
-# One package only: the rest of the workspace still carries formatting
+echo "== format: btpub-par and btpub-obs must be rustfmt-clean =="
+# Two packages only: the rest of the workspace still carries formatting
 # drift, so a workspace-wide check cannot gate yet.
-cargo fmt --check -p btpub-par
+cargo fmt --check -p btpub-par -p btpub-obs
 
 echo "== docs (rustdoc warnings, broken intra-doc links included, are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
