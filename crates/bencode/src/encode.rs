@@ -137,11 +137,7 @@ mod tests {
 
     #[test]
     fn binary_keys_encode_raw() {
-        let v = Value::Dict(
-            [(vec![0xff, 0x00], Value::Int(1))]
-                .into_iter()
-                .collect(),
-        );
+        let v = Value::Dict([(vec![0xff, 0x00], Value::Int(1))].into_iter().collect());
         assert_eq!(enc(&v), b"d2:\xff\x00i1ee");
     }
 
@@ -151,7 +147,10 @@ mod tests {
             "info",
             Value::dict([
                 ("pieces", Value::Bytes(vec![0u8; 40])),
-                ("files", Value::list([Value::dict([("length", Value::Int(5))])])),
+                (
+                    "files",
+                    Value::list([Value::dict([("length", Value::Int(5))])]),
+                ),
             ]),
         )]);
         assert_eq!(encoded_len(&v), enc(&v).len());

@@ -189,7 +189,11 @@ mod tests {
         b.on_success();
         assert_eq!(b.state(202), BreakerState::Closed);
         b.on_failure(300);
-        assert_eq!(b.state(300), BreakerState::Closed, "one failure after reset");
+        assert_eq!(
+            b.state(300),
+            BreakerState::Closed,
+            "one failure after reset"
+        );
     }
 
     #[test]
@@ -238,6 +242,9 @@ mod tests {
         // TrackerSim blacklists after 20 strikes; the breaker must open
         // far earlier to protect the campaign.
         assert!(b.threshold <= 10);
-        assert!(b.cooldown_secs >= 600, "cooldown at least one announce interval");
+        assert!(
+            b.cooldown_secs >= 600,
+            "cooldown at least one announce interval"
+        );
     }
 }

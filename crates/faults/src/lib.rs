@@ -51,7 +51,8 @@ pub use btpub_obs::trace::mix;
 pub fn key(parts: &[u64]) -> u64 {
     let mut z: u64 = 0x9e37_79b9_7f4a_7c15;
     for &p in parts {
-        z ^= p.wrapping_add(0x9e37_79b9_7f4a_7c15)
+        z ^= p
+            .wrapping_add(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(z << 6)
             .wrapping_add(z >> 2);
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -1,7 +1,7 @@
 //! The seeded fault plan: profile rates → concrete, reproducible faults.
 
-use crate::profile::FaultProfile;
 use crate::mix;
+use crate::profile::FaultProfile;
 
 /// A concrete fault injected at one I/O edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

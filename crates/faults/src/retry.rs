@@ -64,7 +64,9 @@ impl RetryPolicy {
         }
         let exp = (attempt - 2).min(62);
         let factor = 1u64.checked_shl(exp).unwrap_or(u64::MAX);
-        self.base.saturating_mul(factor.min(u64::from(u32::MAX)) as u32).min(self.cap)
+        self.base
+            .saturating_mul(factor.min(u64::from(u32::MAX)) as u32)
+            .min(self.cap)
     }
 
     /// Delay in whole seconds with a deterministic jitter draw folded in
@@ -89,11 +91,7 @@ impl RetryPolicy {
     /// `max_attempts`, or earlier when the next sleep would cross the
     /// deadline; the last error is returned. Metrics: `retry.<name>.attempts`,
     /// `retry.<name>.success`, `retry.<name>.gaveup`.
-    pub fn run<T, E>(
-        &self,
-        name: &str,
-        mut op: impl FnMut(u32) -> Result<T, E>,
-    ) -> Result<T, E> {
+    pub fn run<T, E>(&self, name: &str, mut op: impl FnMut(u32) -> Result<T, E>) -> Result<T, E> {
         let started = Instant::now();
         let mut attempt = 1;
         loop {
@@ -150,11 +148,7 @@ mod tests {
         let p = RetryPolicy::bep15();
         // Attempt k+2 follows timeout n=k: 15·2^k seconds.
         for n in 0..=8u32 {
-            assert_eq!(
-                p.delay(n + 2),
-                Duration::from_secs(15 * (1 << n)),
-                "n={n}"
-            );
+            assert_eq!(p.delay(n + 2), Duration::from_secs(15 * (1 << n)), "n={n}");
         }
         assert_eq!(p.max_attempts, 9);
     }
@@ -169,7 +163,10 @@ mod tests {
             assert_eq!(d, p.delay_secs(3, draw));
         }
         // Zero jitter reproduces the raw ladder.
-        let fixed = RetryPolicy { jitter_ppm: 0, ..RetryPolicy::announce() };
+        let fixed = RetryPolicy {
+            jitter_ppm: 0,
+            ..RetryPolicy::announce()
+        };
         assert_eq!(fixed.delay_secs(3, 12345), 30);
     }
 

@@ -54,7 +54,8 @@ impl Interner {
         if let Some(&sym) = self.map.get(s) {
             return sym;
         }
-        let sym = Sym(u32::try_from(self.strings.len()).expect("interner overflow: > u32::MAX symbols"));
+        let sym =
+            Sym(u32::try_from(self.strings.len()).expect("interner overflow: > u32::MAX symbols"));
         let boxed: Box<str> = s.into();
         self.strings.push(boxed.clone());
         self.map.insert(boxed, sym);

@@ -159,7 +159,9 @@ fn main() {
                     Some(name) => match FaultProfile::by_name(name) {
                         Some(p) => Some(p),
                         None => {
-                            eprintln!("unknown fault profile {name} (expected clean|flaky|hostile)");
+                            eprintln!(
+                                "unknown fault profile {name} (expected clean|flaky|hostile)"
+                            );
                             std::process::exit(2);
                         }
                     },
@@ -207,9 +209,7 @@ fn main() {
     if trace_path.is_some() {
         btpub_obs::trace::set_enabled(true);
     } else if btpub_obs::trace::enabled() {
-        trace_path = Some(
-            btpub_obs::trace::env_path().unwrap_or_else(|| "trace.json".to_string()),
-        );
+        trace_path = Some(btpub_obs::trace::env_path().unwrap_or_else(|| "trace.json".to_string()));
     }
     // A crashing armed daemon still yields a loadable trace.
     if let Some(path) = trace_path.as_deref() {
@@ -413,7 +413,10 @@ fn print_summary(study: &StreamStudy, category: Option<Category>) {
         .filter(|p| s.groups.contains(&p.key, Group::Fake))
         .collect();
     println!("== monitor summary ==");
-    println!("fault profile: {}", study.scenario.crawler.fault_profile.name);
+    println!(
+        "fault profile: {}",
+        study.scenario.crawler.fault_profile.name
+    );
     println!("items recorded: {}", s.totals.torrents_total);
     println!(
         "publishers: {} ({} flagged fake)",
@@ -476,7 +479,10 @@ fn write_manifest(path: &str, scale: &str, sim_days: f64, profile: &FaultProfile
         ("bin", Value::from("btpub-monitor")),
         ("scale", Value::from(scale)),
         ("fault_profile", Value::from(profile.name.as_str())),
-        ("jobs_effective", Value::from(btpub_par::global().get() as u64)),
+        (
+            "jobs_effective",
+            Value::from(btpub_par::global().get() as u64),
+        ),
         ("sim_days", Value::from(sim_days)),
     ];
     let manifest = btpub_obs::manifest::build(btpub_obs::global(), &meta);
