@@ -189,11 +189,6 @@ impl<'d> StreamAggregator<'d> {
         }
     }
 
-    /// Number of records folded so far.
-    pub fn records_ingested(&self) -> usize {
-        self.next_idx
-    }
-
     /// Folds the next digest in. Digests must be folded in announcement
     /// order — symbol interning, index assignment and float summation
     /// order all depend on it — but because [`RecordDigest::reduce`] is

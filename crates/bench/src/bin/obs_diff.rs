@@ -15,7 +15,7 @@
 //! incompatible configurations* (different bin / scale / scenarios /
 //! fault profile / effective jobs — diffing those would report config
 //! skew as a bogus metric regression, so the comparison is refused).
-//! `scripts/check.sh` uses all three modes as gates.
+//! `crates/bench/tests/repro_gates.rs` gates all three modes.
 //!
 //! Watch mode is the live-ops side of the manifest protocol: a daemon
 //! emitting periodic manifests (`btpub-monitor --manifest-every N`) is

@@ -24,12 +24,13 @@
 //! worker count for every `btpub-par` pool; with `--scenario all` the
 //! three campaigns also run concurrently. Reports are assembled in
 //! scenario order off the workers, so stdout is **byte-identical** at any
-//! job count — `scripts/check.sh` diffs `--jobs 1` against `--jobs 4`.
+//! job count (`tests/determinism_par.rs`, `tests/golden_report.rs`, and
+//! `crates/bench/tests/repro_gates.rs` on this binary at `--jobs 4`).
 //!
 //! Streaming: `--stream` runs each campaign through the bounded-channel
 //! pipeline (`StreamStudy`) instead of materializing the dataset —
-//! stdout stays byte-identical to the materialized path (gated by
-//! `scripts/check.sh` at jobs 1 and 4, clean and hostile). `--spill-dir
+//! stdout stays byte-identical to the materialized path (held by
+//! `tests/golden_report.rs` at jobs 1 and 4, clean and hostile). `--spill-dir
 //! DIR` (implies `--stream`) spills the global distinct-IP set to sorted
 //! segment runs under DIR; an unwritable DIR warns once on stderr and
 //! falls back to in-memory. `--spill-chunk N` (implies `--stream`)
@@ -42,8 +43,8 @@
 //! the fold state under `DIR/<scenario>/` every `--checkpoint-every N`
 //! folds (default 256) and resumes from an existing checkpoint on start;
 //! the final report is byte-identical to an uninterrupted run (gated by
-//! `scripts/check.sh`, which kills a campaign mid-flight with
-//! `BTPUB_CRASH` and diffs the resumed stdout). A corrupt or mismatched
+//! `crates/bench/tests/crash_resume.rs`, which kills a campaign
+//! mid-flight with `BTPUB_CRASH` and diffs the resumed stdout). A corrupt or mismatched
 //! checkpoint is refused with a named reason and exit code 1; an
 //! unwritable DIR warns once and runs checkpoint-free.
 //!

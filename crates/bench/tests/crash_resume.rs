@@ -11,8 +11,9 @@
 //! family as every other seeded draw, so the sweep is deterministic and
 //! a failure names a reproducible `BTPUB_CRASH=<site>:<hit>` spec.
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
+
+use std::path::Path;
 use std::sync::OnceLock;
 
 use btpub::{Scale, Scenario};
@@ -36,32 +37,17 @@ fn campaign_seed() -> u64 {
     Scenario::pb10(Scale::tiny()).eco.seed
 }
 
-fn tmp_base(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("btpub-crash-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 /// Runs `repro --scale tiny --scenario pb10 --stream <extra>`, optionally
 /// with `BTPUB_CRASH=<spec>` armed. Returns (success, stdout, stderr).
 fn run_repro(extra: &[&str], crash: Option<&str>) -> (bool, String, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
-    cmd.args(["--scale", "tiny", "--scenario", "pb10", "--stream"]);
-    cmd.args(extra);
-    match crash {
-        Some(spec) => {
-            cmd.env("BTPUB_CRASH", spec);
-        }
-        None => {
-            cmd.env_remove("BTPUB_CRASH");
-        }
-    }
-    let out = cmd.output().expect("spawn repro");
-    (
-        out.status.success(),
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+    let mut args = vec!["--scale", "tiny", "--scenario", "pb10", "--stream"];
+    args.extend_from_slice(extra);
+    let env: Vec<(&str, &str)> = crash
+        .map(|spec| ("BTPUB_CRASH", spec))
+        .into_iter()
+        .collect();
+    let run = common::run(env!("CARGO_BIN_EXE_repro"), &args, &env);
+    (run.status.success(), run.stdout, run.stderr)
 }
 
 /// The uninterrupted streaming report — the byte-for-byte ground truth
@@ -104,7 +90,7 @@ fn crash_then_resume(site: &str, hit: u64, dir: &Path, extra_args: &[&str]) {
 
 #[test]
 fn crash_and_resume_at_checkpoint_sites() {
-    let base = tmp_base("ckpt-sites");
+    let base = common::tmp_dir("ckpt-sites");
     let seed = campaign_seed();
     for (site, window) in CHECKPOINT_SITES {
         let hit = btpub_faults::hit_for(seed, site, window);
@@ -115,7 +101,7 @@ fn crash_and_resume_at_checkpoint_sites() {
 
 #[test]
 fn crash_and_resume_at_stream_sites() {
-    let base = tmp_base("stream-sites");
+    let base = common::tmp_dir("stream-sites");
     let seed = campaign_seed();
     for (site, window) in STREAM_SITES {
         let hit = btpub_faults::hit_for(seed, site, window);
@@ -126,7 +112,7 @@ fn crash_and_resume_at_stream_sites() {
 
 #[test]
 fn crash_and_resume_at_spill_sites() {
-    let base = tmp_base("spill-sites");
+    let base = common::tmp_dir("spill-sites");
     let seed = campaign_seed();
     for (site, window) in SPILL_SITES {
         let dir = base.join(site.replace('.', "-"));
@@ -150,7 +136,7 @@ fn crash_and_resume_at_spill_sites() {
 /// in the fold sequence, resume again, and still match the baseline.
 #[test]
 fn chained_crashes_still_converge() {
-    let base = tmp_base("chained");
+    let base = common::tmp_dir("chained");
     let ckpt = base.join("ckpt");
     let ckpt_s = ckpt.to_str().unwrap().to_string();
     let args = ["--checkpoint-dir", &ckpt_s, "--checkpoint-every", "64"];
@@ -171,7 +157,7 @@ fn chained_crashes_still_converge() {
 /// at jobs 4, compare against the (jobs-independent) baseline.
 #[test]
 fn crash_and_resume_at_jobs_4() {
-    let base = tmp_base("jobs4");
+    let base = common::tmp_dir("jobs4");
     let ckpt = base.join("ckpt");
     let ckpt_s = ckpt.to_str().unwrap().to_string();
     let args = [
@@ -190,11 +176,7 @@ fn crash_and_resume_at_jobs_4() {
     assert!(!ok, "crash run at {spec} (jobs 4) must die:\n{stderr}");
     let (ok, stdout, stderr) = run_repro(&args, None);
     assert!(ok, "resume at jobs 4 failed:\n{stderr}");
-    assert_eq!(
-        stdout,
-        baseline(),
-        "resume at jobs 4 changed report bytes"
-    );
+    assert_eq!(stdout, baseline(), "resume at jobs 4 changed report bytes");
     let _ = std::fs::remove_dir_all(&base);
 }
 
@@ -202,7 +184,7 @@ fn crash_and_resume_at_jobs_4() {
 /// silently reinterpreted: flip one payload byte and resume.
 #[test]
 fn corrupted_checkpoint_is_refused() {
-    let base = tmp_base("corrupt");
+    let base = common::tmp_dir("corrupt");
     let ckpt = base.join("ckpt");
     let ckpt_s = ckpt.to_str().unwrap().to_string();
     let args = ["--checkpoint-dir", &ckpt_s, "--checkpoint-every", "64"];
@@ -220,6 +202,36 @@ fn corrupted_checkpoint_is_refused() {
     assert!(
         stderr.contains("crc mismatch") || stderr.contains("corrupt"),
         "refusal must name the corruption:\n{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// An intact checkpoint from another campaign must be refused by name:
+/// resume a clean pb10 checkpoint under the hostile fault profile, and
+/// the fingerprint check must say which field disagrees.
+#[test]
+fn mismatched_checkpoint_is_refused_naming_the_field() {
+    let base = common::tmp_dir("mismatch");
+    let ckpt = base.join("ckpt");
+    let ckpt_s = ckpt.to_str().unwrap().to_string();
+    let args = [
+        "--checkpoint-dir",
+        &ckpt_s,
+        "--checkpoint-every",
+        "64",
+        "--jobs",
+        "1",
+    ];
+
+    let (ok, _, stderr) = run_repro(&args, Some("stream.fold:128"));
+    assert!(!ok, "crash run must die:\n{stderr}");
+    let mut hostile = args.to_vec();
+    hostile.extend_from_slice(&["--fault-profile", "hostile"]);
+    let (ok, _, stderr) = run_repro(&hostile, None);
+    assert!(!ok, "resume under another fault profile must fail");
+    assert!(
+        stderr.contains("fault_profile"),
+        "refusal must name the field that disagrees:\n{stderr}"
     );
     let _ = std::fs::remove_dir_all(&base);
 }

@@ -16,7 +16,7 @@
 //! crawl nor the arrival order can reorder a single float operation: the
 //! report is byte-identical to the materialized path at any job count
 //! (asserted by `streaming_report_matches_materialized` below and by
-//! `tests/golden_report.rs`, and gated in `scripts/check.sh`).
+//! `tests/golden_report.rs` at jobs 1 and 4, clean and hostile).
 //!
 //! # Checkpoint / resume
 //!
@@ -31,8 +31,8 @@
 //! `mix(seed, stream, index)` draws, so the records at and after the
 //! cursor are bit-identical to the ones the interrupted run would have
 //! folded, and the final report is byte-identical to an uninterrupted
-//! run (proven process-level by `crash_resume.rs` and the
-//! `scripts/check.sh` gate).
+//! run (proven process-level by `crates/bench/tests/crash_resume.rs`, at
+//! jobs 1 and 4).
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;

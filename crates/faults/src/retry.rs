@@ -44,18 +44,6 @@ impl RetryPolicy {
         }
     }
 
-    /// The BEP 15 UDP retransmit schedule: timeout `15·2^n` seconds,
-    /// `n = 0..=8`. No jitter — the BEP prescribes the fixed ladder.
-    pub fn bep15() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 9,
-            base: Duration::from_secs(15),
-            cap: Duration::from_secs(15 * (1 << 8)),
-            jitter_ppm: 0,
-            deadline: None,
-        }
-    }
-
     /// Raw exponential delay before attempt `attempt` (1-based; attempt 1
     /// has no delay), capped.
     pub fn delay(&self, attempt: u32) -> Duration {
@@ -141,16 +129,6 @@ mod tests {
         assert_eq!(p.delay(3), Duration::from_secs(30));
         assert_eq!(p.delay(4), Duration::from_secs(60));
         assert_eq!(p.delay(20), Duration::from_secs(900), "capped");
-    }
-
-    #[test]
-    fn bep15_ladder_is_15_times_2_to_the_n() {
-        let p = RetryPolicy::bep15();
-        // Attempt k+2 follows timeout n=k: 15·2^k seconds.
-        for n in 0..=8u32 {
-            assert_eq!(p.delay(n + 2), Duration::from_secs(15 * (1 << n)), "n={n}");
-        }
-        assert_eq!(p.max_attempts, 9);
     }
 
     #[test]

@@ -55,16 +55,6 @@ impl Level {
         }
     }
 
-    fn from_u8(v: u8) -> Level {
-        match v {
-            0 => Level::Error,
-            1 => Level::Warn,
-            2 => Level::Info,
-            3 => Level::Debug,
-            _ => Level::Trace,
-        }
-    }
-
     /// Parses a `BTPUB_LOG` value; unknown strings mean the default
     /// (use [`Level::parse_known`] to distinguish them).
     pub fn parse(s: &str) -> Option<Level> {
@@ -120,12 +110,6 @@ fn threshold() -> u8 {
 pub fn set_level(level: Option<Level>) {
     INIT.get_or_init(|| ());
     THRESHOLD.store(level.map_or(OFF, |l| l as u8), Ordering::Relaxed);
-}
-
-/// Current threshold, if logging is enabled at all.
-pub fn current_level() -> Option<Level> {
-    let t = threshold();
-    (t != OFF).then(|| Level::from_u8(t))
 }
 
 /// Whether a record at `level` would be emitted. The macros check this

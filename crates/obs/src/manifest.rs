@@ -2,8 +2,8 @@
 //!
 //! A manifest pins *what a run was* — scale, seeds, fault profile,
 //! jobs — next to a digest and full snapshot of its metrics, so two
-//! runs can be compared mechanically (the `obs_diff` bin, wired into
-//! `scripts/check.sh` as a regression gate).
+//! runs can be compared mechanically (the `obs_diff` bin, whose exit
+//! codes `crates/bench/tests/repro_gates.rs` holds).
 //!
 //! ## What is compared
 //!
@@ -25,8 +25,11 @@ use serde_json::{Map, Value};
 use crate::Registry;
 
 /// FNV-1a 64-bit over `bytes` (stable, dependency-free — this is a
-/// change detector, not a cryptographic commitment).
-pub fn digest64(bytes: &[u8]) -> u64 {
+/// change detector, not a cryptographic commitment). Not `trace`'s
+/// `fnv1a`: that one multiplies by another constant, and every seeded
+/// draw depends on it, so the two cannot be merged without moving
+/// either every world or every digest a manifest has recorded.
+fn digest64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);
@@ -341,6 +344,8 @@ mod tests {
         );
         assert_eq!(a["metrics_digest"], b["metrics_digest"]);
         assert_ne!(a["metrics_digest"], c["metrics_digest"]);
+        // Pinned, so manifests written by older builds stay comparable.
+        assert_eq!(a["metrics_digest"].as_str(), Some("6a1920a289e0d84d"));
     }
 
     #[test]

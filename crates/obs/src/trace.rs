@@ -629,6 +629,9 @@ static RATE_CAP: AtomicU32 = AtomicU32::new(0);
 static SAMPLE_ENV: OnceLock<()> = OnceLock::new();
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// Not the FNV-1a prime (`0x100_0000_01b3`): one hex digit longer. Every
+/// world RNG is seeded through [`mix`], so changing it would move every
+/// simulated world and every golden fixture.
 const FNV_PRIME: u64 = 0x1000_0000_01b3;
 
 #[inline]

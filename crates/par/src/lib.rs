@@ -16,8 +16,8 @@
 //! so a task's output depends only on its index — not on scheduling.
 //! Together with ordered result assembly this gives the headline
 //! guarantee: **serial (`--jobs 1`) and parallel (`--jobs N`) runs
-//! produce byte-identical reports.** `tests/determinism_par.rs` and the
-//! `scripts/check.sh` gate enforce it end to end.
+//! produce byte-identical reports.** `tests/determinism_par.rs` and
+//! `tests/golden_report.rs` enforce it end to end.
 //!
 //! ## Worker-count policy
 //!

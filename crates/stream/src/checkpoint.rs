@@ -413,8 +413,8 @@ pub fn save(dir: &Path, header: &CheckpointHeader, payload: &[u8]) -> Result<(),
 /// `Ok(None)` when no checkpoint exists (a fresh start); a checkpoint that
 /// exists but fails its magic, version, or CRC is a hard error — the
 /// caller must refuse to run rather than silently start over, so that data
-/// decay is always surfaced (the check.sh inversion proof depends on
-/// this).
+/// decay is always surfaced (`corrupted_checkpoint_is_refused` in
+/// `crates/bench/tests/crash_resume.rs` depends on this).
 pub fn load(dir: &Path) -> Result<Option<(CheckpointHeader, Vec<u8>)>, CheckpointError> {
     let path = dir.join(CHECKPOINT_FILE);
     let raw = match fs::read(&path) {

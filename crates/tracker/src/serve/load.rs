@@ -261,7 +261,7 @@ fn udp_single_driver(
     cfg: &LoadConfig,
 ) -> std::io::Result<LoadReport> {
     let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
-    let cid = udp_client::connect_with(&socket, to, 0xC0DE, &cfg.net)?;
+    let cid = udp_client::connect(&socket, to, 0xC0DE, &cfg.net)?;
     let plan = FaultPlan::new(script.seed, cfg.profile.clone());
     let predict_silence = !plan.profile().is_clean();
     let mut report = LoadReport::default();

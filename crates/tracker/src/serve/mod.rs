@@ -911,6 +911,7 @@ fn announce_http(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btpub_faults::NetConfig;
     use btpub_proto::tracker::AnnounceEvent;
     use wire::{info_hash_for, peer_id_for};
 
@@ -954,7 +955,7 @@ mod tests {
     fn bep15_announce_with_logical_clock() {
         let d = daemon(12, 2, 4);
         let sock = udp_client();
-        let cid = udp_client::connect(&sock, d.udp_addr(), 1).unwrap();
+        let cid = udp_client::connect(&sock, d.udp_addr(), 1, &NetConfig::default()).unwrap();
         assert_eq!(
             cid,
             d.expected_connection_id(sock.local_addr().unwrap())
@@ -1034,7 +1035,7 @@ mod tests {
         // An id handed to one client is no good from another address.
         let d = daemon(13, 1, 1);
         let owner = udp_client();
-        let cid = udp_client::connect(&owner, d.udp_addr(), 1).unwrap();
+        let cid = udp_client::connect(&owner, d.udp_addr(), 1, &NetConfig::default()).unwrap();
         let thief = udp_client();
         let req = UdpRequest::Announce {
             connection_id: cid,
@@ -1308,6 +1309,7 @@ mod tests {
             0,
             AnnounceEvent::Started,
             50,
+            &NetConfig::default(),
         )
         .unwrap();
         assert_eq!((out.seeders, out.leechers), (1, 0));
@@ -1323,6 +1325,7 @@ mod tests {
             100,
             AnnounceEvent::Started,
             50,
+            &NetConfig::default(),
         )
         .unwrap();
         assert_eq!((out.seeders, out.leechers), (1, 1));
@@ -1343,6 +1346,7 @@ mod tests {
             0,
             AnnounceEvent::Started,
             0,
+            &NetConfig::default(),
         )
         .unwrap();
         udp_client::announce(
@@ -1353,9 +1357,15 @@ mod tests {
             0,
             AnnounceEvent::Completed,
             0,
+            &NetConfig::default(),
         )
         .unwrap();
-        let entries = udp_client::scrape(d.udp_addr(), vec![ih, InfoHash([9; 20])]).unwrap();
+        let entries = udp_client::scrape(
+            d.udp_addr(),
+            vec![ih, InfoHash([9; 20])],
+            &NetConfig::default(),
+        )
+        .unwrap();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].complete, 2);
         assert_eq!(entries[0].downloaded, 1);
@@ -1377,6 +1387,7 @@ mod tests {
             0,
             AnnounceEvent::Started,
             0,
+            &NetConfig::default(),
         )
         .unwrap_err();
         assert!(err.to_string().contains("not registered"));

@@ -22,6 +22,7 @@
 //! can never be reordered — the property the oracle-equality argument
 //! in DESIGN.md rests on.
 
+use std::collections::hash_map::Entry;
 use std::hash::Hasher;
 use std::net::SocketAddrV4;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -184,13 +185,16 @@ struct SwarmShard {
 /// One enforcement stripe.
 struct EnforceStripe {
     enf: Enforcer,
-    /// Last refused `(client, torrent) -> t`, so an exact retransmit of
-    /// a refused announce (its reply was lost; the client sent the same
-    /// datagram again) re-earns the same refusal without re-counting it.
+    /// The times of the last two refused announces of each `(client,
+    /// torrent)`, latest first, so an exact retransmit of a refused
+    /// announce (its reply was lost; the client sent the same datagram
+    /// again) re-earns the same refusal without re-counting it.
     /// Admitted announces get the same protection from the enforcer's
     /// exact-duplicate detection; this map closes the refusal half, which
     /// is what keeps the snapshot's `counts` line retransmit-invariant.
-    last_refusal: FxHashMap<(u32, u32), u64>,
+    /// Two covers a datagram overtaken by its client's next announce,
+    /// the reordering that two workers reading one socket produce.
+    last_refusals: FxHashMap<(u32, u32), [u64; 2]>,
 }
 
 /// Most unique garbage frames remembered for retransmit dedup
@@ -222,7 +226,7 @@ pub struct Plane {
     /// Exact garbage frames already tallied, so a retransmitted garbage
     /// datagram (its error reply was lost in the kernel buffer) re-earns
     /// the reply without re-counting — the garbled half of the
-    /// retransmit-invariance that `last_refusal` gives refusals.
+    /// retransmit-invariance that `last_refusals` gives refusals.
     garbage_seen: Mutex<FxHashSet<Vec<u8>>>,
     // Cached obs handles (registry lookups off the hot path).
     obs_total: Arc<btpub_obs::Counter>,
@@ -258,7 +262,7 @@ impl Plane {
             .map(|_| {
                 Mutex::new(EnforceStripe {
                     enf: Enforcer::serving(),
-                    last_refusal: FxHashMap::default(),
+                    last_refusals: FxHashMap::default(),
                 })
             })
             .collect();
@@ -467,21 +471,26 @@ impl Plane {
         match class {
             Class::Admitted | Class::Duplicate => (class, true),
             _ => {
-                // A client's announce times never decrease, so a refusal
-                // at `t` not beyond the last recorded refusal of the same
-                // (client, torrent) can only be a retransmit — possibly a
-                // stale one overtaken by a newer announce when two
-                // workers race. It re-earns its class (strikes are
-                // already retransmit-proof inside the enforcer), but only
-                // the first arrival counts.
-                let slot = stripe
-                    .last_refusal
-                    .entry((client, item.torrent()))
-                    .or_insert(u64::MAX);
-                let fresh = *slot == u64::MAX || item.t > *slot;
-                if fresh {
-                    *slot = item.t;
-                }
+                // A refusal at a time already refused for the same
+                // (client, torrent) is a retransmit, possibly a stale one
+                // overtaken by a newer announce when two workers race.
+                // It re-earns its class (strikes are already
+                // retransmit-proof inside the enforcer), but only the
+                // first arrival counts, whichever order the two arrive in.
+                let fresh = match stripe.last_refusals.entry((client, item.torrent())) {
+                    Entry::Vacant(slot) => {
+                        slot.insert([item.t; 2]);
+                        true
+                    }
+                    Entry::Occupied(mut slot) => {
+                        let seen = slot.get_mut();
+                        let fresh = !seen.contains(&item.t);
+                        if fresh {
+                            *seen = [item.t, seen[0]];
+                        }
+                        fresh
+                    }
+                };
                 (class, fresh)
             }
         }
@@ -821,6 +830,44 @@ mod tests {
         plane.apply_batch(std::slice::from_ref(&probe), &mut out);
         assert_eq!(out[0].class, Class::Unknown);
         assert_eq!(plane.counts().unknown, 1);
+    }
+
+    /// The single-announce driver sends an announce the fault plan
+    /// swallows without waiting for a reply, then the same client's next
+    /// one. With two UDP workers on one socket the later datagram can be
+    /// applied first. Both are first arrivals, so the counts must not
+    /// depend on the order, and an exact retransmit still counts once.
+    #[test]
+    fn refusal_counts_do_not_depend_on_arrival_order() {
+        let cfg = PlaneConfig {
+            profile: FaultProfile::flaky(),
+            ..PlaneConfig::new(5, 2, 4)
+        };
+        let plan = FaultPlan::new(cfg.seed, cfg.profile.clone());
+        let at = |t: u64| item(5, 10, 0, t, AnnounceEvent::Interval, 100);
+        let swallowed = |t: u64| {
+            let draw = key(&[u64::from(at(t).client()), 0, t]);
+            plan.tracker_down(t).is_some() || plan.check::<points::AnnounceDrop>(draw).is_some()
+        };
+        let mut refused = (0..).map(|k| k * 1000).filter(|&t| swallowed(t));
+        let (first, second) = (at(refused.next().unwrap()), at(refused.next().unwrap()));
+
+        let mut out = Vec::new();
+        let in_order = Plane::new(cfg.clone());
+        let reordered = Plane::new(cfg);
+        for it in [&first, &second] {
+            in_order.apply_batch(std::slice::from_ref(it), &mut out);
+        }
+        for it in [&second, &first] {
+            reordered.apply_batch(std::slice::from_ref(it), &mut out);
+        }
+        assert_eq!(reordered.counts(), in_order.counts());
+        let counts = in_order.counts();
+        assert_eq!(counts.down + counts.dropped, 2, "{counts:?}");
+        for it in [&first, &second] {
+            reordered.apply_batch(std::slice::from_ref(it), &mut out);
+        }
+        assert_eq!(reordered.counts(), counts, "a retransmit counted twice");
     }
 
     #[test]

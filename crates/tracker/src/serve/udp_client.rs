@@ -111,15 +111,6 @@ pub fn connect(
     socket: &UdpSocket,
     tracker: SocketAddr,
     transaction_id: u32,
-) -> std::io::Result<u64> {
-    connect_with(socket, tracker, transaction_id, &NetConfig::default())
-}
-
-/// [`connect`] with explicit retransmit parameters.
-pub fn connect_with(
-    socket: &UdpSocket,
-    tracker: SocketAddr,
-    transaction_id: u32,
     net: &NetConfig,
 ) -> std::io::Result<u64> {
     match exchange_with(
@@ -139,32 +130,9 @@ pub fn connect_with(
     }
 }
 
-/// Connect + announce in one call, with default retransmit parameters.
+/// Connect + announce in one call.
 #[allow(clippy::too_many_arguments)]
 pub fn announce(
-    tracker: SocketAddr,
-    info_hash: InfoHash,
-    peer_id: PeerId,
-    port: u16,
-    left: u64,
-    event: AnnounceEvent,
-    num_want: u32,
-) -> std::io::Result<UdpAnnounceOutcome> {
-    announce_with(
-        tracker,
-        info_hash,
-        peer_id,
-        port,
-        left,
-        event,
-        num_want,
-        &NetConfig::default(),
-    )
-}
-
-/// [`announce`] with explicit retransmit parameters.
-#[allow(clippy::too_many_arguments)]
-pub fn announce_with(
     tracker: SocketAddr,
     info_hash: InfoHash,
     peer_id: PeerId,
@@ -175,7 +143,7 @@ pub fn announce_with(
     net: &NetConfig,
 ) -> std::io::Result<UdpAnnounceOutcome> {
     let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
-    let connection_id = connect_with(&socket, tracker, 0x1234, net)?;
+    let connection_id = connect(&socket, tracker, 0x1234, net)?;
     let req = UdpRequest::Announce {
         connection_id,
         transaction_id: 0x5678,
@@ -209,22 +177,14 @@ pub fn announce_with(
     }
 }
 
-/// Connect + scrape in one call, with default retransmit parameters.
+/// Connect + scrape in one call.
 pub fn scrape(
-    tracker: SocketAddr,
-    info_hashes: Vec<InfoHash>,
-) -> std::io::Result<Vec<ScrapeEntry>> {
-    scrape_with(tracker, info_hashes, &NetConfig::default())
-}
-
-/// [`scrape`] with explicit retransmit parameters.
-pub fn scrape_with(
     tracker: SocketAddr,
     info_hashes: Vec<InfoHash>,
     net: &NetConfig,
 ) -> std::io::Result<Vec<ScrapeEntry>> {
     let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0))?;
-    let connection_id = connect_with(&socket, tracker, 0x9999, net)?;
+    let connection_id = connect(&socket, tracker, 0x9999, net)?;
     let req = UdpRequest::Scrape {
         connection_id,
         transaction_id: 0xAAAA,
@@ -297,7 +257,7 @@ mod tests {
         });
         let socket = UdpSocket::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
         let net = NetConfig::loopback_test();
-        let cid = connect_with(&socket, tracker_addr, 9, &net).unwrap();
+        let cid = connect(&socket, tracker_addr, 9, &net).unwrap();
         assert_eq!(cid, 42);
         handle.join().unwrap();
     }
@@ -350,7 +310,7 @@ mod tests {
                 }
             }
         });
-        let out = announce_with(
+        let out = announce(
             tracker_addr,
             InfoHash([7; 20]),
             PeerId([1; 20]),

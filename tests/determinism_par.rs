@@ -4,8 +4,9 @@
 //! Every stochastic component derives its RNG per item
 //! (`rngs::derive(seed, stream, idx)`), so a task's output depends only
 //! on its index, and ordered `par_map_indexed` assembly does the rest.
-//! This test is the in-tree enforcement; `scripts/check.sh` additionally
-//! diffs the `repro` binary's stdout at `--jobs 1` vs `--jobs 4`.
+//! This test is the in-tree enforcement; `tests/golden_report.rs` pins
+//! the bytes at both job counts, and `crates/bench/tests/repro_gates.rs`
+//! holds the `repro` binary's `--jobs 4` stdout to the same fixtures.
 
 use btpub::{Scale, Scenario, Study};
 use btpub_par::Jobs;

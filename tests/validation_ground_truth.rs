@@ -3,7 +3,12 @@
 //! measurement machinery (crawler + Appendix A estimation + detection)
 //! demonstrably recovers the truth from samples.
 
-use btpub::{Scale, Scenario, Study};
+use std::collections::HashSet;
+use std::hash::BuildHasher;
+
+use btpub::sim::content::Category;
+use btpub::sim::Ecosystem;
+use btpub::{Scale, Scenario, StreamOptions, StreamStudy, Study};
 
 fn study() -> &'static Study {
     static STUDY: std::sync::OnceLock<Study> = std::sync::OnceLock::new();
@@ -79,19 +84,17 @@ fn multi_seeded_fake_swarms_defeat_identification() {
     );
 }
 
-#[test]
-fn fake_detector_precision_and_recall() {
-    let study = study();
-    let eco = &study.eco;
-    let flagged = &study.analyze().analyses.groups.fake_usernames;
-    let truth: std::collections::HashSet<&str> = eco
+/// The §3.3 fake detector against ground truth: precision over the
+/// flagged usernames, recall over the accounts that published fakes.
+fn assert_fake_detector_holds<S: BuildHasher>(eco: &Ecosystem, flagged: &HashSet<String, S>) {
+    let truth: HashSet<&str> = eco
         .publishers
         .iter()
         .filter(|p| p.profile == btpub::sim::Profile::Fake)
         .flat_map(|p| p.usernames.iter().map(String::as_str))
         .chain(eco.compromised.iter().map(String::as_str))
         .collect();
-    let active_fake: std::collections::HashSet<&str> = eco
+    let active_fake: HashSet<&str> = eco
         .publications
         .iter()
         .filter(|p| p.fake)
@@ -104,6 +107,32 @@ fn fake_detector_precision_and_recall() {
         / active_fake.len() as f64;
     assert!(precision > 0.95, "precision {precision:.2}");
     assert!(recall > 0.85, "recall {recall:.2}");
+}
+
+#[test]
+fn fake_detector_precision_and_recall() {
+    let study = study();
+    assert_fake_detector_holds(&study.eco, &study.analyze().analyses.groups.fake_usernames);
+}
+
+/// The detector as `btpub-monitor` runs it: on the streamed aggregates
+/// of the tiny pb10 campaign (`examples/fake_detection.rs`).
+#[test]
+fn streamed_fake_detector_precision_and_recall() {
+    let study = StreamStudy::run(&Scenario::pb10(Scale::tiny()), &StreamOptions::default());
+    assert_fake_detector_holds(&study.eco, &study.analyses.groups.fake_usernames);
+    // The §7 query interface (`examples/monitor_daemon.rs`) answers from
+    // the same aggregates: publishers with e-books, and profit-driven
+    // publishers with a page to show.
+    let s = &study.analyses;
+    assert!(s.publishers.iter().any(|p| p
+        .torrents
+        .iter()
+        .any(|&t| s.categories[t] == Category::Books)));
+    assert!(s
+        .classified
+        .iter()
+        .any(|c| c.url.is_some() && c.class.is_profit_driven()));
 }
 
 #[test]
